@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import argparse
 
-from _common import get_spark
 from repro.corpora.datasets import ALL_DATASETS
 from repro.eval.experiments import snuba_comparison
 from repro.eval.pipeline import prepare
+from repro.spark import get_spark
 
 BIAS_TOKEN = {"directions": "shuttle", "musicians": "composer"}
 

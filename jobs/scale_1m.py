@@ -18,7 +18,6 @@ import time
 import numpy as np
 from pyspark.sql import functions as F
 
-from _common import get_spark
 from repro.core.darwin import run_darwin
 from repro.core.labeling import apply_rules
 from repro.core.oracle_sim import GroundTruthOracle
@@ -27,6 +26,7 @@ from repro.corpora.generator import build_corpus
 from repro.eval.metrics import coverage_of_ids, precision_of_ids
 from repro.index.inverted import HeuristicIndex
 from repro.index.sketch import SketchConfig, sketch_df
+from repro.spark import get_spark
 from repro.text import embeddings as emb
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import argparse
 
-from _common import get_spark
 from repro.eval.experiments import table2
+from repro.spark import get_spark
 
 
 def main() -> None:

@@ -60,9 +60,10 @@ class EmbeddingClassifier:
         ids = np.concatenate([pos, neg])
         y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
         X = self.X[ids]
-        if self.balance:
+        if self.balance and len(neg):
             # Balance classes through sample weights so imbalance in the
-            # sampled negatives does not swamp the gradient.
+            # sampled negatives does not swamp the gradient. With no
+            # negatives (P covers the corpus) there is nothing to balance.
             w_pos, w_neg = len(ids) / (2 * len(pos)), len(ids) / (2 * len(neg))
             sw = np.where(y == 1, w_pos, w_neg)
         else:

@@ -18,6 +18,9 @@ from repro.core.candidates import generate_candidates
 from repro.core.hierarchy import Hierarchy
 from repro.core.traversal import STRATEGIES
 
+# Candidates generated per hierarchy rebuild (Alg 2's k).
+K_CANDIDATES = 500
+
 
 @dataclass
 class DarwinResult:
@@ -42,9 +45,7 @@ def run_darwin(
     seed_positive_ids: set[int] | None = None,
     budget: int = 100,
     strategy: str = "hybrid",
-    k_candidates: int = 500,
     true_labels: np.ndarray | None = None,
-    strategy_kwargs: dict | None = None,
 ) -> DarwinResult:
     """Run Darwin (Algorithm 1) and return rules/positives/classifier.
 
@@ -69,15 +70,14 @@ def run_darwin(
     classifier.fit(positives)
     scores = classifier.scores()
 
-    strat_cls = STRATEGIES[strategy]
-    strat = strat_cls(seed_rule or "*", **(strategy_kwargs or {}))
+    strat = STRATEGIES[strategy](seed_rule or "*")
 
     n_true_pos = int(true_labels.sum()) if true_labels is not None else None
     asked: set[str] = set(rules)
     history: list[dict] = []
 
-    cands = generate_candidates(index, positives, k_candidates)
-    hierarchy = Hierarchy.build(index, cands, positives, cleanup=True)
+    cands = generate_candidates(index, positives, K_CANDIDATES)
+    hierarchy = Hierarchy.build(index, cands, positives)
     # Prime the strategy with the seed's (known-YES) verdict so
     # LocalSearch starts from the seed's neighborhood (Alg 3 line 3).
     if seed_rule is not None:
@@ -90,8 +90,8 @@ def run_darwin(
 
     for q in range(1, budget + 1):
         if stale:
-            cands = generate_candidates(index, positives, k_candidates)
-            hierarchy = Hierarchy.build(index, cands, positives, cleanup=True)
+            cands = generate_candidates(index, positives, K_CANDIDATES)
+            hierarchy = Hierarchy.build(index, cands, positives)
             stale = False
         key = strat.select(hierarchy, positives, scores, asked)
         if key is None:

@@ -32,19 +32,10 @@ class Hierarchy:
 
     @classmethod
     def build(
-        cls,
-        index: HeuristicIndex,
-        candidates: list[str],
-        positives: set[int],
-        *,
-        cleanup: bool = True,
+        cls, index: HeuristicIndex, candidates: list[str], positives: set[int]
     ) -> "Hierarchy":
-        """Arrange candidates; optionally drop no-new-positive nodes."""
-        if cleanup:
-            candidates = [
-                c for c in candidates if not (index.coverage(c) <= positives)
-            ]
-        return cls(candidates, index)
+        """Arrange the candidates that add new positives (the cleanup)."""
+        return cls([c for c in candidates if not (index.coverage(c) <= positives)], index)
 
     def parents(self, key: str) -> list[str]:
         """Hierarchy parents; falls back to the index for off-hierarchy keys

@@ -14,30 +14,52 @@ Each grammar module supplies, for its keys:
   and by rule application on unindexed text;
 - ``parents_of(key) -> list[str]``: keys one derivation step more
   general (superset coverage), defining the hierarchy of §3.2.
+
+:data:`GRAMMARS` maps each key prefix to its grammar; every
+prefix-dispatched call goes through :func:`grammar`.
 """
 from __future__ import annotations
 
-ROOT = "*"
+from collections.abc import Callable
+from typing import NamedTuple
 
-_PARENT_DISPATCH = {}
+from repro.grammar import ROOT, tokensregex, treematch
 
 
-def register_grammar(prefix: str, parents_fn) -> None:
-    """Register a grammar's ``parents_of`` under its key prefix."""
-    _PARENT_DISPATCH[prefix] = parents_fn
+class Grammar(NamedTuple):
+    """A grammar's key functions, with one matcher signature for all:
+    ``matches(key, tokens, tags, parents, max_gap) -> bool``."""
+
+    parents_of: Callable[[str], list[str]]
+    matches: Callable[[str, list[str], list[str], list[int], int], bool]
+
+
+GRAMMARS: dict[str, Grammar] = {
+    tokensregex.PREFIX: Grammar(
+        tokensregex.parents_of,
+        lambda key, tokens, tags, parents, max_gap: tokensregex.matches(
+            key, tokens, max_gap=max_gap
+        ),
+    ),
+    treematch.PREFIX: Grammar(
+        treematch.parents_of,
+        lambda key, tokens, tags, parents, max_gap: treematch.matches(
+            key, tokens, tags, parents
+        ),
+    ),
+}
+
+
+def grammar(key: str) -> Grammar:
+    """The grammar that owns ``key`` (not the root)."""
+    g = GRAMMARS.get(key.partition(":")[0])
+    if g is None:
+        raise ValueError(f"unknown grammar prefix in key {key!r}")
+    return g
 
 
 def parents_of(key: str) -> list[str]:
     """Dispatch to the owning grammar; the root has no parents."""
     if key == ROOT:
         return []
-    prefix = key.split(":", 1)[0]
-    fn = _PARENT_DISPATCH.get(prefix)
-    if fn is None:
-        raise ValueError(f"unknown grammar prefix in key {key!r}")
-    return fn(key)
-
-
-def grammar_of(key: str) -> str:
-    """The grammar prefix of a key ('tr', 'tm', or '*' for the root)."""
-    return ROOT if key == ROOT else key.split(":", 1)[0]
+    return grammar(key).parents_of(key)

@@ -18,21 +18,22 @@ Hierarchy semantics (one derivation step more general ⇒ parent):
 """
 from __future__ import annotations
 
-from repro.grammar.base import ROOT, register_grammar
+from repro.grammar import ROOT
 
 PREFIX = "tr"
 GAP = "*"
+_HEAD = PREFIX + ":"
 
 
 def key_of(tokens: tuple[str, ...] | list[str]) -> str:
     """Encode a token pattern as a flat key."""
-    return f"{PREFIX}:" + " ".join(tokens)
+    return _HEAD + " ".join(tokens)
 
 
 def pattern_of(key: str) -> tuple[str, ...]:
     """Decode a key back to its token pattern."""
-    assert key.startswith(PREFIX + ":"), key
-    return tuple(key.split(":", 1)[1].split(" "))
+    assert key.startswith(_HEAD), key
+    return tuple(key[len(_HEAD):].split(" "))
 
 
 def sketch(tokens: list[str], *, max_len: int = 4, max_gap: int = 3) -> set[str]:
@@ -56,13 +57,14 @@ def matches(key: str, tokens: list[str], *, max_gap: int = 3) -> bool:
     if GAP in pat:
         a, _, b = pat  # single-gap patterns are always 'a * b'
         for i in range(n):
-            if tokens[i] != a:
-                continue
-            for j in range(i + 2, min(n, i + 2 + max_gap)):
-                if tokens[j] == b:
-                    return True
+            if tokens[i] == a and b in tokens[i + 2 : i + 2 + max_gap]:
+                return True
         return False
-    return any(tuple(tokens[i : i + m]) == pat for i in range(n - m + 1))
+    first = pat[0]
+    for i in range(n - m + 1):
+        if tokens[i] == first and tuple(tokens[i : i + m]) == pat:
+            return True
+    return False
 
 
 def parents_of(key: str) -> list[str]:
@@ -79,6 +81,3 @@ def parents_of(key: str) -> list[str]:
 def display(key: str) -> str:
     """Human-readable form shown to the (simulated) annotator."""
     return "'" + " ".join(pattern_of(key)) + "'"
-
-
-register_grammar(PREFIX, parents_of)

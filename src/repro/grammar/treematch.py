@@ -20,7 +20,7 @@ itself is a compact sketch for this grammar.
 """
 from __future__ import annotations
 
-from repro.grammar.base import ROOT, register_grammar
+from repro.grammar import ROOT
 from repro.text.depparse import children_of, descendants_of
 
 PREFIX = "tm"
@@ -78,7 +78,7 @@ def sketch(
 
 
 def _match_term(term: str, i: int, tokens: list[str], tags: list[str]) -> bool:
-    kind, val = term.split("=", 1)
+    kind, _, val = term.partition("=")
     return tokens[i] == val if kind == "t" else tags[i] == val
 
 
@@ -137,6 +137,3 @@ def display(key: str) -> str:
         conj = "∧" + c.split("=", 1)[1]
     body = "/".join(p.split("=", 1)[1] for p in body.split("/"))
     return "/" + body + conj
-
-
-register_grammar(PREFIX, parents_of)

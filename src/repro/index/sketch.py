@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.grammar import tokensregex, treematch
+from repro.grammar import ROOT, tokensregex, treematch
+from repro.grammar.base import grammar
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,6 @@ def matches_sentence(
 ) -> bool:
     """Direct (index-free) evaluation of any grammar's key — rule application."""
     cfg = cfg or SketchConfig()
-    if key == "*":
+    if key == ROOT:
         return True
-    if key.startswith(tokensregex.PREFIX + ":"):
-        return tokensregex.matches(key, tokens, max_gap=cfg.max_gap)
-    return treematch.matches(key, tokens, tags, parents)
+    return grammar(key).matches(key, tokens, tags, parents, cfg.max_gap)

@@ -11,18 +11,17 @@ Two providers with one interface (``dict[word] -> np.ndarray``):
   from a hash; no semantics, but instant and dependency-free. Used by
   unit tests where only the plumbing is under test.
 
-Sentence vector = mean of word vectors (zero vector for an empty/OOV
-sentence), computed either on the driver (:func:`sentence_matrix`) or
-distributed over a DataFrame (:func:`add_sentence_vectors`) for
-corpora too large to collect.
+Sentence features are computed on the driver by
+:func:`combined_matrix`: a hashed bag of words next to the sentence
+vector, the mean of its word vectors (zero for an empty/OOV sentence).
+Only Word2Vec training runs on Spark.
 """
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 
 DEFAULT_DIM = 32
@@ -75,11 +74,6 @@ def sentence_vector(tokens: list[str], emb: dict[str, np.ndarray], dim: int) -> 
     return np.mean(vs, axis=0).astype(np.float32)
 
 
-def sentence_matrix(token_lists: list[list[str]], emb: dict[str, np.ndarray], dim: int) -> np.ndarray:
-    """Stack sentence vectors into an (n, dim) feature matrix."""
-    return np.stack([sentence_vector(ts, emb, dim) for ts in token_lists]) if token_lists else np.zeros((0, dim), dtype=np.float32)
-
-
 def hashed_bow(tokens: list[str], hash_dim: int) -> np.ndarray:
     """L2-ish normalized hashed binary bag-of-words (driver/executor safe)."""
     v = np.zeros(hash_dim, dtype=np.float32)
@@ -106,33 +100,3 @@ def combined_matrix(
         out[i, :hash_dim] = hashed_bow(ts, hash_dim)
         out[i, hash_dim:] = sentence_vector(ts, emb, dim)
     return out
-
-
-def add_sentence_vectors(
-    corpus_df: DataFrame,
-    emb: dict[str, np.ndarray],
-    dim: int,
-    *,
-    tokens_col: str = "tokens",
-    out_col: str = "vec",
-) -> DataFrame:
-    """Distributed sentence-vector column via ``mapInPandas``.
-
-    The embedding dict rides to executors through closure serialization
-    (small: vocabulary × dim floats); each batch is vectorized in numpy.
-    """
-    spark = corpus_df.sparkSession
-    bc = spark.sparkContext.broadcast(emb)
-    fields = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in corpus_df.schema.fields)
-    schema = f"{fields}, {out_col} array<float>"
-
-    def _score(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        e = bc.value
-        for pdf in batches:
-            pdf = pdf.copy()
-            pdf[out_col] = [
-                sentence_vector(list(ts), e, dim).tolist() for ts in pdf[tokens_col]
-            ]
-            yield pdf
-
-    return corpus_df.mapInPandas(_score, schema=schema)

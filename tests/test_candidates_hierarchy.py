@@ -57,12 +57,13 @@ def test_hierarchy_edges(toy_index):
 
 def test_hierarchy_cleanup_drops_covered(toy_index):
     # 'tr:c d' covers {7} ⊆ P → cleaned; 'tr:c' covers {7,8} ⊄ P → kept.
-    h = Hierarchy.build(toy_index, ["tr:c", "tr:c d"], positives={7}, cleanup=True)
+    h = Hierarchy.build(toy_index, ["tr:c", "tr:c d"], positives={7})
     assert "tr:c" in h and "tr:c d" not in h
 
 
 def test_hierarchy_no_cleanup(toy_index):
-    h = Hierarchy.build(toy_index, ["tr:c", "tr:c d"], positives={7}, cleanup=False)
+    # The constructor arranges every node it is given; only build() cleans.
+    h = Hierarchy(["tr:c", "tr:c d"], toy_index)
     assert "tr:c d" in h
 
 

@@ -73,3 +73,10 @@ def test_scores_are_probabilities():
     clf = EmbeddingClassifier(X, seed=0).fit(set(np.nonzero(y)[0].tolist()))
     s = clf.scores()
     assert s.min() >= 0.0 and s.max() <= 1.0
+
+
+def test_fit_when_positives_cover_everything():
+    # No negatives can be sampled: the fit skips class weighting.
+    X, _ = _separable(n=10)
+    clf = EmbeddingClassifier(X).fit(set(range(10)))
+    assert np.all(clf.scores() > 0.5)

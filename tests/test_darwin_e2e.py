@@ -149,3 +149,25 @@ def test_musicians_unigram_seed(prep_musicians):
 def test_tweets_runs(prep_tweets):
     res = _run(prep_tweets, "hybrid", budget=60)
     assert coverage_of_ids(res.positives, prep_tweets.labels) > 0.5
+
+
+def test_seed_rule_covering_corpus_runs():
+    # P starts as the whole corpus: no negatives to sample, and nothing
+    # left that adds positives, so the loop stops without a query.
+    from repro.core.classifier import EmbeddingClassifier
+    from repro.index.inverted import HeuristicIndex
+
+    idx = HeuristicIndex(
+        {"tr:a": frozenset(range(10)), "tr:a b": frozenset({1, 2})}, n_sentences=10
+    )
+    X = np.random.default_rng(0).standard_normal((10, 4))
+    res = run_darwin(
+        idx,
+        EmbeddingClassifier(X),
+        GroundTruthOracle(np.ones(10, dtype=np.int64)),
+        seed_rule="tr:a",
+        budget=5,
+    )
+    assert res.rules == ["tr:a"]
+    assert res.positives == set(range(10))
+    assert res.history == []

@@ -27,13 +27,6 @@ def test_sentence_vector_oov():
     assert np.allclose(emb.sentence_vector(["zzz"], {}, 8), 0.0)
 
 
-def test_sentence_matrix_shape():
-    e = emb.hashing_embeddings(["a", "b"], dim=8)
-    X = emb.sentence_matrix([["a"], ["b"], []], e, 8)
-    assert X.shape == (3, 8)
-    assert np.allclose(X[2], 0.0)
-
-
 def test_hashed_bow_normalized():
     v = emb.hashed_bow(["a", "b", "c"], 64)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-5
@@ -58,15 +51,3 @@ def test_word2vec_trains_and_returns_vectors(spark):
     vocab = emb.word2vec_embeddings(df, dim=8, min_count=2, max_iter=1)
     assert "shuttle" in vocab and "pizza" in vocab
     assert vocab["shuttle"].shape == (8,)
-
-
-def test_add_sentence_vectors_distributed(spark):
-    import pandas as pd
-
-    pdf = pd.DataFrame({"sid": [0, 1], "tokens": [["a", "b"], ["c"]]})
-    df = spark.createDataFrame(pdf)
-    e = emb.hashing_embeddings(["a", "b", "c"], dim=4)
-    out = emb.add_sentence_vectors(df, e, 4).orderBy("sid").collect()
-    expect0 = emb.sentence_vector(["a", "b"], e, 4)
-    assert np.allclose(np.array(out[0]["vec"]), expect0, atol=1e-6)
-    assert np.allclose(np.array(out[1]["vec"]), e["c"], atol=1e-6)

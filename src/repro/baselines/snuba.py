@@ -40,11 +40,13 @@ def run_snuba(
         return []
 
     # Candidates: every indexed heuristic with evidence in the sample.
+    labeled_mask = index.mask(labeled)
+    evidence = index.overlaps(index.mask(pos))
     cands: dict[str, frozenset[int]] = {}
-    for key in index.keys():
-        cov_l = index.coverage(key) & labeled
-        if len(cov_l & pos) >= min_positive_overlap:
-            cands[key] = frozenset(cov_l)
+    for key, n_pos in zip(index.keys(), evidence):
+        if n_pos >= min_positive_overlap:
+            ids = index.ids(key)
+            cands[key] = frozenset(ids[labeled_mask[ids]].tolist())
 
     chosen: list[str] = []
     chosen_cov: list[frozenset[int]] = []
@@ -83,5 +85,5 @@ def snuba_positives(index: HeuristicIndex, rules: list[str]) -> set[int]:
     """Union coverage of the mined rules over the whole corpus."""
     out: set[int] = set()
     for r in rules:
-        out |= index.coverage(r)
+        out.update(index.ids(r).tolist())
     return out

@@ -9,8 +9,18 @@ count) and then lexically, keeping the run deterministic.
 The diversity constraint the paper mentions ("avoid having to evaluate
 many similar candidate heuristics") is realized by capping how many
 selected candidates may share an identical positive-overlap signature.
+
+Every key's overlap with P comes from one pass over the index's
+postings. A child's coverage is a subset of its parent's, so once a
+popped key overlaps P in nothing, so does every key popped after it:
+they all share the empty signature, and the walk stops as soon as that
+signature's cap is full.
 """
 from __future__ import annotations
+
+import heapq
+
+import numpy as np
 
 from repro.grammar.base import ROOT
 from repro.index.inverted import HeuristicIndex
@@ -18,14 +28,19 @@ from repro.index.inverted import HeuristicIndex
 
 def generate_candidates(
     index: HeuristicIndex,
-    positives: set[int],
+    positives: set[int] | np.ndarray,
     k: int,
     *,
     max_duplicate_signature: int = 3,
 ) -> list[str]:
-    """Return up to ``k`` candidate heuristic keys (Algorithm 2)."""
-    import heapq
+    """Return up to ``k`` candidate heuristic keys (Algorithm 2).
 
+    ``positives`` is P as sentence ids or as a bool mask over sentences.
+    """
+    mask = index.mask(positives)
+    overlaps = index.overlaps(mask).tolist()
+    counts = index.counts.tolist()
+    rows = index.rows
     results: list[str] = []
     recent = ROOT
     seen: set[str] = {ROOT}
@@ -34,20 +49,27 @@ def generate_candidates(
     # P is fixed for the duration of the call, so each candidate's
     # priority is computed once, on insertion.
     heap: list[tuple[int, int, str]] = []
-    sig_count: dict[frozenset[int], int] = {}
+    # Signature: the key's positive ids (sorted int32) as bytes.
+    sig_count: dict[bytes, int] = {}
 
     while len(results) < k:
         for c in index.children(recent):
             if c not in seen:
                 seen.add(c)
-                overlap = len(index.coverage(c) & positives)
-                heapq.heappush(heap, (-overlap, -index.count(c), c))
+                r = rows[c]
+                heapq.heappush(heap, (-overlaps[r], -counts[r], c))
         if not heap:
             break
-        _, _, best = heapq.heappop(heap)
+        neg_overlap, _, best = heapq.heappop(heap)
         recent = best
-        sig = frozenset(index.coverage(best) & positives)
+        if neg_overlap:
+            ids = index.ids(best)
+            sig = ids[mask[ids]].tobytes()
+        else:
+            sig = b""
         if sig_count.get(sig, 0) >= max_duplicate_signature:
+            if not neg_overlap:
+                break  # no later pop overlaps P either (see module docstring)
             continue  # diversity cap: skip near-duplicate candidates
         sig_count[sig] = sig_count.get(sig, 0) + 1
         results.append(best)

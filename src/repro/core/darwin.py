@@ -53,7 +53,8 @@ def run_darwin(
     the seed yields ≥2 positives); alternatively ``seed_positive_ids``
     starts the pipeline from a couple of labeled sentences.
     ``true_labels`` is only used to annotate the history with recall —
-    it never influences the search.
+    it never influences the search. ``oracle(key, ids)`` receives the
+    key's sorted sentence ids as an integer array.
     """
     if seed_rule is None and not seed_positive_ids:
         raise ValueError("provide seed_rule or seed_positive_ids")
@@ -62,10 +63,14 @@ def run_darwin(
     if seed_rule is not None:
         if seed_rule not in index:
             raise KeyError(f"seed rule {seed_rule!r} not found in index")
-        positives = set(index.coverage(seed_rule))
+        positives = set(index.ids(seed_rule).tolist())
         rules.append(seed_rule)
     else:
         positives = set(seed_positive_ids)
+    # P twice: the set that is returned and fits the classifier, and a
+    # bool mask for the index passes. A YES makes a new mask, so a
+    # hierarchy's mask stays the P it was built for.
+    mask = index.mask(positives)
 
     classifier.fit(positives)
     scores = classifier.scores()
@@ -76,8 +81,8 @@ def run_darwin(
     asked: set[str] = set(rules)
     history: list[dict] = []
 
-    cands = generate_candidates(index, positives, K_CANDIDATES)
-    hierarchy = Hierarchy.build(index, cands, positives)
+    cands = generate_candidates(index, mask, K_CANDIDATES)
+    hierarchy = Hierarchy.build(index, cands, mask)
     # Prime the strategy with the seed's (known-YES) verdict so
     # LocalSearch starts from the seed's neighborhood (Alg 3 line 3).
     if seed_rule is not None:
@@ -85,23 +90,26 @@ def run_darwin(
     else:
         # Seeded from labeled sentences: the local neighborhood is the
         # set of candidate rules with evidence on those sentences.
-        strat.prime([k for k in hierarchy.nodes if index.coverage(k) & positives])
+        strat.prime([k for k in hierarchy.nodes if mask[index.ids(k)].any()])
     stale = False  # regenerate candidates whenever P changes
 
     for q in range(1, budget + 1):
         if stale:
-            cands = generate_candidates(index, positives, K_CANDIDATES)
-            hierarchy = Hierarchy.build(index, cands, positives)
+            cands = generate_candidates(index, mask, K_CANDIDATES)
+            hierarchy = Hierarchy.build(index, cands, mask)
             stale = False
-        key = strat.select(hierarchy, positives, scores, asked)
+        key = strat.select(hierarchy, mask, scores, asked)
         if key is None:
             break
         asked.add(key)
-        answer = bool(oracle(key, index.coverage(key)))
+        ids = index.ids(key)
+        answer = bool(oracle(key, ids))
         strat.feedback(key, answer, hierarchy)
         if answer:
             rules.append(key)
-            positives |= index.coverage(key)
+            positives.update(ids.tolist())
+            mask = mask.copy()
+            mask[ids] = True
             classifier.fit(positives)
             scores = classifier.scores()
             stale = True
@@ -112,8 +120,7 @@ def run_darwin(
             "n_positives": len(positives),
         }
         if n_true_pos:
-            idx = np.fromiter(positives, dtype=np.int64)
-            rec["recall"] = float(true_labels[idx].sum() / n_true_pos)
+            rec["recall"] = float(true_labels[mask].sum() / n_true_pos)
         history.append(rec)
 
     return DarwinResult(rules=rules, positives=positives, classifier=classifier, history=history)

@@ -9,6 +9,8 @@ heuristic that does not add any new positives".
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.grammar.base import parents_of
 from repro.index.inverted import HeuristicIndex
 
@@ -16,8 +18,19 @@ from repro.index.inverted import HeuristicIndex
 class Hierarchy:
     """Subset/superset DAG over a candidate set."""
 
-    def __init__(self, nodes: list[str], index: HeuristicIndex):
+    def __init__(
+        self,
+        nodes: list[str],
+        index: HeuristicIndex,
+        positives: set[int] | np.ndarray = (),
+    ):
         self.index = index
+        # P, as a bool mask, that the nodes were arranged for.
+        self.mask = index.mask(positives)
+        # key → (benefit, avg benefit) under ``mask``, filled by the
+        # traversal strategies. Darwin builds a new hierarchy whenever P,
+        # and with it the classifier scores, changes.
+        self.benefits: dict[str, tuple[float, float]] = {}
         self.nodes: list[str] = list(nodes)
         node_set = set(self.nodes)
         self._parents: dict[str, list[str]] = {}
@@ -32,10 +45,16 @@ class Hierarchy:
 
     @classmethod
     def build(
-        cls, index: HeuristicIndex, candidates: list[str], positives: set[int]
+        cls,
+        index: HeuristicIndex,
+        candidates: list[str],
+        positives: set[int] | np.ndarray,
     ) -> "Hierarchy":
-        """Arrange the candidates that add new positives (the cleanup)."""
-        return cls([c for c in candidates if not (index.coverage(c) <= positives)], index)
+        """Arrange the candidates that add new positives (the cleanup):
+        a candidate whose overlap with P equals its count is dropped."""
+        mask = index.mask(positives)
+        kept = [c for c in candidates if not mask[index.ids(c)].all()]
+        return cls(kept, index, mask)
 
     def parents(self, key: str) -> list[str]:
         """Hierarchy parents; falls back to the index for off-hierarchy keys

@@ -44,9 +44,7 @@ def label_matrix(index: HeuristicIndex, rules: list[str], n: int) -> np.ndarray:
     """(n_sentences × n_rules) boolean fire matrix from inverted lists."""
     L = np.zeros((n, len(rules)), dtype=bool)
     for j, r in enumerate(rules):
-        ids = np.fromiter(index.coverage(r), dtype=np.int64)
-        if len(ids):
-            L[ids, j] = True
+        L[index.ids(r), j] = True
     return L
 
 

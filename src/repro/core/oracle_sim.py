@@ -9,9 +9,16 @@ sample precision crosses the bar by chance.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection
 
 import numpy as np
+
+
+def _as_ids(ids: Collection[int] | np.ndarray) -> np.ndarray:
+    """Sentence ids as an int array; an int array passes through."""
+    if isinstance(ids, (set, frozenset)):
+        ids = list(ids)
+    return np.asarray(ids, dtype=np.int64)
 
 
 class GroundTruthOracle:
@@ -22,13 +29,13 @@ class GroundTruthOracle:
         self.threshold = threshold
         self.calls = 0
 
-    def precision(self, ids: Iterable[int]) -> float:
-        idx = np.fromiter(ids, dtype=np.int64)
+    def precision(self, ids: Collection[int] | np.ndarray) -> float:
+        idx = _as_ids(ids)
         if len(idx) == 0:
             return 0.0
         return float(self.labels[idx].mean())
 
-    def __call__(self, key: str, ids: Iterable[int]) -> bool:
+    def __call__(self, key: str, ids: Collection[int] | np.ndarray) -> bool:
         self.calls += 1
         return self.precision(ids) >= self.threshold
 
@@ -50,9 +57,9 @@ class NoisyOracle:
         self._rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def __call__(self, key: str, ids: Iterable[int]) -> bool:
+    def __call__(self, key: str, ids: Collection[int] | np.ndarray) -> bool:
         self.calls += 1
-        idx = np.fromiter(ids, dtype=np.int64)
+        idx = _as_ids(ids)
         if len(idx) == 0:
             return False
         k = min(self.sample_size, len(idx))

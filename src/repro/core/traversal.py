@@ -9,7 +9,8 @@ is ≤ 0.5 ("majority of the instances in C_r are expected to be
 negatives", Alg 4 line 8).
 
 Each strategy exposes ``select(hierarchy, P, scores, asked)`` → key (or
-``None`` when out of moves) and ``feedback(key, yes, hierarchy)``.
+``None`` when out of moves) and ``feedback(key, yes, hierarchy)``. P is
+a set of sentence ids or a bool mask over sentences.
 The Darwin driver owns the oracle budget and the asked-set.
 """
 from __future__ import annotations
@@ -19,32 +20,27 @@ import numpy as np
 from repro.core.hierarchy import Hierarchy
 
 
-def _benefit_pair(hierarchy: Hierarchy, key: str, positives: set[int], scores: np.ndarray) -> tuple[float, float]:
-    """(benefit, avg benefit), cached on the hierarchy instance.
-
-    Valid because a Hierarchy is rebuilt whenever P (and hence the
-    classifier scores) changes — within one instance both are frozen.
-    """
-    cache: dict[str, tuple[float, float]] = hierarchy.__dict__.setdefault("_benefit_cache", {})
-    hit = cache.get(key)
+def _benefit_pair(hierarchy: Hierarchy, key: str, positives, scores: np.ndarray) -> tuple[float, float]:
+    """(benefit, avg benefit); memoized on the hierarchy when P is the
+    mask the hierarchy was built for."""
+    mask = hierarchy.index.mask(positives)
+    memo = hierarchy.benefits if mask is hierarchy.mask else {}
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    new = hierarchy.index.coverage(key) - positives
-    if not new:
-        out = (0.0, 0.0)
-    else:
-        vals = scores[np.fromiter(new, dtype=np.int64)]
-        out = (float(vals.sum()), float(vals.mean()))
-    cache[key] = out
+    ids = hierarchy.index.ids(key)
+    vals = scores[ids[~mask[ids]]]
+    out = (float(vals.sum()), float(vals.mean())) if len(vals) else (0.0, 0.0)
+    memo[key] = out
     return out
 
 
-def benefit(hierarchy: Hierarchy, key: str, positives: set[int], scores: np.ndarray) -> float:
+def benefit(hierarchy: Hierarchy, key: str, positives, scores: np.ndarray) -> float:
     """Expected gain in P upon accepting ``key`` (§3.3)."""
     return _benefit_pair(hierarchy, key, positives, scores)[0]
 
 
-def avg_benefit(hierarchy: Hierarchy, key: str, positives: set[int], scores: np.ndarray) -> float:
+def avg_benefit(hierarchy: Hierarchy, key: str, positives, scores: np.ndarray) -> float:
     """Benefit per *new* instance; 0 when the rule adds nothing."""
     return _benefit_pair(hierarchy, key, positives, scores)[1]
 
@@ -85,9 +81,10 @@ class LocalSearch:
             # only parent is the root): refill with candidates that are
             # local in *coverage* space — rules overlapping the
             # positives found so far.
+            index = hierarchy.index
+            mask = index.mask(positives)
             self.cands.update(
-                k for k in hierarchy.nodes
-                if k not in asked and hierarchy.index.coverage(k) & positives
+                k for k in hierarchy.nodes if k not in asked and mask[index.ids(k)].any()
             )
             pool = [k for k in self.cands if k not in asked and k != "*"]
             if not pool:
@@ -198,15 +195,9 @@ class HighP:
         if not pool:
             return None
 
-        cache: dict[str, float] = hierarchy.__dict__.setdefault("_prec_cache", {})
-
         def expected_precision(k: str) -> float:
-            if k in cache:
-                return cache[k]
-            cov = hierarchy.index.coverage(k)
-            v = float(scores[np.fromiter(cov, dtype=np.int64)].mean()) if cov else 0.0
-            cache[k] = v
-            return v
+            ids = hierarchy.index.ids(k)
+            return float(scores[ids].mean()) if len(ids) else 0.0
 
         return _argmax(pool, expected_precision)
 

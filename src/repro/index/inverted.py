@@ -4,14 +4,19 @@ driver-side structure with O(1) parent/child navigation.
 Two layers:
 
 1. :func:`index_df` — Spark aggregation of the sketch rows into
-   ``(key, count, ids)``. This is the distributed merge of the
-   per-sentence derivation sketches (the paper's index build, linear in
-   corpus size and "highly parallelizable").
+   ``(key, count, ids)`` with each ``ids`` list sorted. This is the
+   distributed merge of the per-sentence derivation sketches (the
+   paper's index build, linear in corpus size and "highly
+   parallelizable").
 2. :class:`HeuristicIndex` — the collected (thresholded) index on the
-   driver: ``key → frozenset(sid)`` plus a reverse-adjacency children
-   map derived from each grammar's ``parents_of``. The interactive
-   search loop (Algorithms 2–5) navigates this structure; Spark is the
-   machinery that produced it.
+   driver, stored as CSR postings: a ``key → row`` map, an ``int64``
+   ``offsets`` array and one ``int32`` ``postings`` array holding each
+   row's sorted sentence ids, plus a reverse-adjacency children map
+   derived from each grammar's ``parents_of``. The positive set P is
+   a bool mask over sentences; :meth:`HeuristicIndex.overlaps` gives
+   |C_k ∩ P| for every key in one pass. The interactive search loop
+   (Algorithms 2–5) navigates this structure; Spark is the machinery
+   that produced it.
 
 For large corpora the collect is bounded two ways: ``min_count`` drops
 singleton heuristics (never precise-and-useful at scale) and
@@ -20,6 +25,10 @@ generation at 10K candidates per iteration, §D).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
+
+import numpy as np
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -52,18 +61,38 @@ def index_df(
     return (
         sketch.join(counts.select("key"), "key")
         .groupBy("key")
-        .agg(F.count("sid").alias("count"), F.collect_list("sid").alias("ids"))
+        .agg(
+            F.count("sid").alias("count"),
+            F.array_sort(F.collect_list("sid")).alias("ids"),
+        )
     )
 
 
 class HeuristicIndex:
-    """Driver-side index over (a thresholded slice of) all heuristics."""
+    """Driver-side index over (a thresholded slice of) all heuristics.
 
-    def __init__(self, coverage: dict[str, frozenset[int]], n_sentences: int):
+    ``HeuristicIndex({key: sentence ids}, n)`` builds it from a mapping;
+    :meth:`from_sketch` builds it from the Spark sketch.
+    """
+
+    def __init__(self, coverage: Mapping[str, Iterable[int]], n_sentences: int):
+        lists = [np.unique(np.fromiter(ids, dtype=np.int64)) for ids in coverage.values()]
+        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum([len(ids) for ids in lists], out=offsets[1:])
+        postings = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
+        self._init(list(coverage), offsets, postings, n_sentences)
+
+    def _init(
+        self, keys: list[str], offsets: np.ndarray, postings: np.ndarray, n_sentences: int
+    ) -> None:
         self.n_sentences = n_sentences
-        self._cov = coverage
+        self.rows: dict[str, int] = {key: r for r, key in enumerate(keys)}
+        self.offsets = offsets
+        self.postings = postings.astype(np.int32)
+        self.postings.flags.writeable = False  # ids() hands out views
+        self.counts = np.diff(offsets)
         self._children: dict[str, list[str]] = {}
-        for key in coverage:
+        for key in keys:
             for p in parents_of(key):
                 self._children.setdefault(p, []).append(key)
         for kids in self._children.values():
@@ -79,29 +108,68 @@ class HeuristicIndex:
         min_count: int = 2,
         top_k: int | None = None,
     ) -> "HeuristicIndex":
-        df = index_df(sketch, min_count=min_count, top_k=top_k)
-        rows = df.collect()
-        cov = {r["key"]: frozenset(r["ids"]) for r in rows}
-        return cls(cov, n_sentences)
+        """Collect :func:`index_df` through Arrow, rows in key order.
+
+        Sorting on the driver makes the rows, and the ids within each
+        row, independent of how Spark partitioned the aggregation.
+        """
+        table = index_df(sketch, min_count=min_count, top_k=top_k).select("key", "ids").toArrow()
+        keys = table.column("key").combine_chunks()
+        order = pc.sort_indices(keys)
+        lists = table.column("ids").combine_chunks().take(order)
+        offsets = np.asarray(lists.offsets, dtype=np.int64)
+        index = cls.__new__(cls)
+        index._init(
+            keys.take(order).to_pylist(),
+            offsets - offsets[0],
+            lists.flatten().to_numpy(),
+            n_sentences,
+        )
+        return index
 
     # -- lookups -------------------------------------------------------
     def __contains__(self, key: str) -> bool:
-        return key == ROOT or key in self._cov
+        return key == ROOT or key in self.rows
 
     def __len__(self) -> int:
-        return len(self._cov)
+        return len(self.rows)
 
     def keys(self) -> list[str]:
-        return list(self._cov)
+        return list(self.rows)
+
+    def ids(self, key: str) -> np.ndarray:
+        """Sorted ``int32`` sentence ids matching ``key`` (a read-only view)."""
+        if key == ROOT:
+            return np.arange(self.n_sentences, dtype=np.int32)
+        r = self.rows.get(key)
+        if r is None:
+            return self.postings[:0]
+        return self.postings[self.offsets[r]:self.offsets[r + 1]]
 
     def coverage(self, key: str) -> frozenset[int]:
-        """Sentence ids matching ``key`` (root covers everything)."""
-        if key == ROOT:
-            return frozenset(range(self.n_sentences))
-        return self._cov.get(key, frozenset())
+        """Sentence ids matching ``key`` as a set (root covers everything)."""
+        return frozenset(self.ids(key).tolist())
 
     def count(self, key: str) -> int:
-        return self.n_sentences if key == ROOT else len(self._cov.get(key, ()))
+        if key == ROOT:
+            return self.n_sentences
+        r = self.rows.get(key)
+        return 0 if r is None else int(self.counts[r])
+
+    def mask(self, positives: Iterable[int] | np.ndarray) -> np.ndarray:
+        """P as a bool mask over sentences; a mask is returned as is."""
+        if isinstance(positives, np.ndarray) and positives.dtype == bool:
+            return positives
+        mask = np.zeros(self.n_sentences, dtype=bool)
+        mask[np.fromiter(positives, dtype=np.int64)] = True
+        return mask
+
+    def overlaps(self, mask: np.ndarray) -> np.ndarray:
+        """|C_k ∩ P| for every row k, for P given as a bool mask."""
+        out = np.zeros(len(self.counts), dtype=np.int64)
+        full = self.counts > 0  # reduceat would give an empty row one element
+        out[full] = np.add.reduceat(mask[self.postings], self.offsets[:-1][full], dtype=np.int64)
+        return out
 
     def children(self, key: str) -> list[str]:
         """Keys one derivation step stricter that exist in the corpus (O(1))."""

@@ -1,0 +1,148 @@
+"""Algorithm 2 and the hierarchy cleanup over the CSR index and a P mask
+give exactly what the set-based implementation gave.
+
+``reference_generate_candidates`` and ``reference_cleanup`` are the
+set-based code kept verbatim as the reference; they run over
+``SetIndex``, which holds every inverted list as a ``frozenset``.
+"""
+import heapq
+
+import numpy as np
+import pytest
+
+from repro.core.candidates import generate_candidates
+from repro.core.darwin import run_darwin
+from repro.core.hierarchy import Hierarchy
+from repro.core.oracle_sim import GroundTruthOracle
+from repro.corpora.datasets import musicians
+from repro.eval.pipeline import prepare
+from repro.grammar.base import ROOT
+from repro.index.sketch import SketchConfig
+
+
+class SetIndex:
+    """The set-based index: ``key → frozenset(sid)``."""
+
+    def __init__(self, index):
+        self._index = index
+        self._cov = {k: index.coverage(k) for k in index.keys()}
+
+    def coverage(self, key):
+        if key == ROOT:
+            return frozenset(range(self._index.n_sentences))
+        return self._cov.get(key, frozenset())
+
+    def count(self, key):
+        return self._index.n_sentences if key == ROOT else len(self._cov.get(key, ()))
+
+    def children(self, key):
+        return self._index.children(key)
+
+
+def reference_generate_candidates(index, positives, k, *, max_duplicate_signature=3):
+    results: list[str] = []
+    recent = ROOT
+    seen: set[str] = {ROOT}
+    heap: list[tuple[int, int, str]] = []
+    sig_count: dict[frozenset[int], int] = {}
+
+    while len(results) < k:
+        for c in index.children(recent):
+            if c not in seen:
+                seen.add(c)
+                overlap = len(index.coverage(c) & positives)
+                heapq.heappush(heap, (-overlap, -index.count(c), c))
+        if not heap:
+            break
+        _, _, best = heapq.heappop(heap)
+        recent = best
+        sig = frozenset(index.coverage(best) & positives)
+        if sig_count.get(sig, 0) >= max_duplicate_signature:
+            continue  # diversity cap: skip near-duplicate candidates
+        sig_count[sig] = sig_count.get(sig, 0) + 1
+        results.append(best)
+    return results
+
+
+def reference_cleanup(index, candidates, positives):
+    return [c for c in candidates if not (index.coverage(c) <= positives)]
+
+
+@pytest.fixture(scope="module")
+def prep_musicians_tm(spark):
+    """musicians with TreeMatch keys ('/', '//' and '∧') in the index."""
+    return prepare(spark, musicians(n=1500), cfg=SketchConfig(max_len=4, use_treematch=True))
+
+
+def _positive_sets(prep) -> dict[str, set[int]]:
+    """P = ∅, the seed's coverage, the seed ∪ its first two accepted
+    rules, and every true positive."""
+    idx = prep.index
+    res = run_darwin(idx, prep.make_classifier(), GroundTruthOracle(prep.labels),
+                     seed_rule=prep.seed_rule_key(), budget=25, strategy="hybrid")
+    assert len(res.rules) >= 3, res.rules
+    return {
+        "empty": set(),
+        "seed": set(idx.coverage(res.rules[0])),
+        "seed+2": set().union(*(idx.coverage(r) for r in res.rules[:3])),
+        "truth": set(np.flatnonzero(prep.labels).tolist()),
+    }
+
+
+def _assert_same(index, positives: set[int]) -> None:
+    ref_index = SetIndex(index)
+    for k in (3, 500):
+        want = reference_generate_candidates(ref_index, positives, k)
+        assert generate_candidates(index, positives, k) == want
+        assert generate_candidates(index, index.mask(positives), k) == want
+        assert Hierarchy.build(index, want, positives).nodes == reference_cleanup(
+            ref_index, want, positives
+        )
+
+
+@pytest.mark.parametrize("positives", [set(), {2, 3}, {2, 3, 4, 7}, set(range(10)), {9}])
+def test_toy_index_matches_reference(toy_index, positives):
+    _assert_same(toy_index, positives)
+
+
+def test_directions_matches_reference(prep_directions):
+    for name, positives in _positive_sets(prep_directions).items():
+        _assert_same(prep_directions.index, positives)
+
+
+def test_musicians_treematch_matches_reference(prep_musicians_tm):
+    for name, positives in _positive_sets(prep_musicians_tm).items():
+        _assert_same(prep_musicians_tm.index, positives)
+
+
+def test_diversity_cap_matches_reference():
+    from repro.index.inverted import HeuristicIndex
+
+    cov = {f"tr:k{i}": frozenset({0, 1}) for i in range(5)}
+    cov.update({f"tr:z{i}": frozenset({2, 3}) for i in range(5)})
+    idx = HeuristicIndex(cov, n_sentences=4)
+    for cap in (0, 1, 2, 6):
+        for positives in (set(), {0}, {0, 1, 2}):
+            assert generate_candidates(
+                idx, positives, 10, max_duplicate_signature=cap
+            ) == reference_generate_candidates(
+                SetIndex(idx), positives, 10, max_duplicate_signature=cap
+            )
+
+
+def test_child_coverage_within_parent_treematch(prep_musicians_tm):
+    """The early exit of Algorithm 2 relies on C_child ⊆ C_parent for
+    every edge of the index."""
+    idx = prep_musicians_tm.index
+    tm_keys = [k for k in idx.keys() if k.startswith("tm:")]
+    body = [k.split(":", 1)[1] for k in tm_keys]
+    assert any("//" in b for b in body)
+    assert any("/" in b.replace("//", "") for b in body)
+    assert any("&" in b for b in body)
+    checked = 0
+    for key in tm_keys:
+        for p in idx.parents(key):
+            if p != ROOT:
+                assert np.isin(idx.ids(key), idx.ids(p)).all(), (key, p)
+                checked += 1
+    assert checked > 100

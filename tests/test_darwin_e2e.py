@@ -171,3 +171,107 @@ def test_seed_rule_covering_corpus_runs():
     assert res.rules == ["tr:a"]
     assert res.positives == set(range(10))
     assert res.history == []
+
+
+# -- degenerate inputs -------------------------------------------------
+def _assert_session_invariants(res, index, budget, oracle_labels, seed_rule=None, seed_ids=()):
+    hist = res.history
+    assert len(hist) <= budget
+    asked = [h["key"] for h in hist]
+    assert len(asked) == len(set(asked))
+    assert seed_rule not in asked
+    yes = [h["key"] for h in hist if h["answer"]]
+    assert res.rules == ([seed_rule] if seed_rule else []) + yes
+    for r in yes:
+        assert precision_of_ids(index.coverage(r), oracle_labels) >= 0.8
+    union = set(seed_ids)
+    for r in res.rules:
+        union |= index.coverage(r)
+    assert res.positives == union
+    assert all(h["n_positives"] <= len(res.positives) for h in hist)
+
+
+def _toy_classifier():
+    from repro.core.classifier import EmbeddingClassifier
+
+    return EmbeddingClassifier(np.random.default_rng(0).standard_normal((10, 4)))
+
+
+def test_empty_index_runs():
+    from repro.index.inverted import HeuristicIndex
+
+    idx = HeuristicIndex({}, n_sentences=10)
+    labels = np.zeros(10, dtype=np.int64)
+    res = run_darwin(idx, _toy_classifier(), GroundTruthOracle(labels),
+                     seed_positive_ids={1, 2}, budget=5)
+    assert res.rules == [] and res.history == [] and res.positives == {1, 2}
+    _assert_session_invariants(res, idx, 5, labels, seed_ids={1, 2})
+
+
+def test_budget_zero_runs(toy_index, toy_labels):
+    res = run_darwin(toy_index, _toy_classifier(), GroundTruthOracle(toy_labels),
+                     seed_rule="tr:a b", budget=0, true_labels=toy_labels)
+    assert res.rules == ["tr:a b"] and res.history == []
+    _assert_session_invariants(res, toy_index, 0, toy_labels, seed_rule="tr:a b")
+
+
+@pytest.mark.parametrize("strategy", ["hybrid", "local", "universal", "highp", "highc"])
+def test_seed_rule_covering_one_sentence(toy_index, toy_labels, strategy):
+    res = run_darwin(toy_index, _toy_classifier(), GroundTruthOracle(toy_labels),
+                     seed_rule="tr:c d", budget=10, strategy=strategy,
+                     true_labels=toy_labels)
+    assert toy_index.count("tr:c d") == 1
+    _assert_session_invariants(res, toy_index, 10, toy_labels, seed_rule="tr:c d")
+    curve = [r for _, r in res.recall_curve()]
+    assert all(a <= b for a, b in zip(curve, curve[1:]))
+
+
+@pytest.mark.parametrize("strategy", ["hybrid", "local", "universal", "highp", "highc"])
+def test_all_no_oracle(toy_index, toy_labels, strategy):
+    def never(key, ids):
+        return False
+
+    res = run_darwin(toy_index, _toy_classifier(), never, seed_rule="tr:a b",
+                     budget=20, strategy=strategy)
+    assert res.rules == ["tr:a b"]
+    assert all(not h["answer"] for h in res.history)
+    _assert_session_invariants(res, toy_index, 20, toy_labels, seed_rule="tr:a b")
+
+
+def test_all_no_oracle_directions(prep_directions):
+    prep = prep_directions
+    res = run_darwin(prep.index, prep.make_classifier(), lambda key, ids: False,
+                     seed_rule=prep.seed_rule_key(), budget=30, true_labels=prep.labels)
+    assert len(res.history) == 30 and res.rules == [prep.seed_rule_key()]
+    _assert_session_invariants(res, prep.index, 30, prep.labels,
+                               seed_rule=prep.seed_rule_key())
+
+
+class _AttributeOnlyIndex:
+    """Forwards attribute access and ``in`` only: the loop may call no
+    other dunder (``len``, ``[]``) on the index it is given."""
+
+    def __init__(self, index):
+        self._index = index
+
+    def __contains__(self, key):
+        return key in self._index
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+
+@pytest.mark.parametrize("strategy", ["hybrid", "highp", "highc"])
+def test_loop_uses_attributes_and_in_only(prep_directions, strategy):
+    direct = _run(prep_directions, strategy, budget=25)
+    proxied = run_darwin(
+        _AttributeOnlyIndex(prep_directions.index),
+        prep_directions.make_classifier(),
+        GroundTruthOracle(prep_directions.labels),
+        seed_rule=prep_directions.seed_rule_key(),
+        budget=25,
+        strategy=strategy,
+        true_labels=prep_directions.labels,
+    )
+    assert proxied.rules == direct.rules
+    assert proxied.history == direct.history

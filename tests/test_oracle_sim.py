@@ -62,3 +62,20 @@ def test_noisy_oracle_more_samples_fewer_errors():
 
 def test_noisy_oracle_empty():
     assert NoisyOracle(LABELS)("r", []) is False
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [{0, 1, 2, 3, 4}, frozenset({0, 1, 2, 3, 4}), [0, 1, 2, 3, 4],
+     np.arange(5, dtype=np.int32), np.arange(5, dtype=np.int64)],
+)
+def test_oracles_take_sets_and_int_arrays(ids):
+    assert GroundTruthOracle(LABELS).precision(ids) == pytest.approx(0.8)
+    assert GroundTruthOracle(LABELS)("r", ids) is True
+    assert NoisyOracle(LABELS, sample_size=5, seed=0)("r", ids) is True
+
+
+@pytest.mark.parametrize("ids", [set(), np.empty(0, dtype=np.int32)])
+def test_oracles_empty_sets_and_arrays(ids):
+    assert GroundTruthOracle(LABELS)("r", ids) is False
+    assert NoisyOracle(LABELS)("r", ids) is False

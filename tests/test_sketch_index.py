@@ -112,6 +112,24 @@ def test_parent_coverage_superset_in_index(small_sketch):
     assert checked > 50
 
 
+def test_index_independent_of_shuffle_partitions(spark, small_sketch):
+    """Same keys() order, offsets and ids at 4 and 64 shuffle partitions."""
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    built = []
+    try:
+        for parts in (4, 64):
+            spark.conf.set("spark.sql.shuffle.partitions", str(parts))
+            built.append(HeuristicIndex.from_sketch(small_sketch, 400, min_count=2))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    a, b = built
+    assert a.keys() == b.keys() == sorted(a.keys())
+    np.testing.assert_array_equal(a.offsets, b.offsets)
+    np.testing.assert_array_equal(a.postings, b.postings)
+    for key in a.keys():
+        assert (np.diff(a.ids(key)) > 0).all(), key
+
+
 def test_top_k_limits_size(small_sketch):
     idx = HeuristicIndex.from_sketch(small_sketch, 400, min_count=2, top_k=100)
     assert len(idx) == 100

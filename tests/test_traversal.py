@@ -177,3 +177,25 @@ def test_scripted_classifier_counts_fits():
     assert sc.fit_calls == 1
     assert np.allclose(sc.scores(), [0.1, 0.9])
     assert np.allclose(sc.scores(np.array([1])), [0.9])
+
+
+def test_benefit_memo_only_for_the_hierarchy_mask(toy_index):
+    scores = np.linspace(0.1, 0.9, 10)
+    h = Hierarchy.build(toy_index, ["tr:a", "tr:b", "tr:c"], {0, 1})
+    assert benefit(h, "tr:a", h.mask, scores) == pytest.approx(scores[2:5].sum())
+    assert set(h.benefits) == {"tr:a"}
+    # Another P is computed, not memoized and not served from the memo.
+    assert benefit(h, "tr:a", {0, 1, 2}, scores) == pytest.approx(scores[3:5].sum())
+    assert benefit(h, "tr:b", {2}, scores) == pytest.approx(scores[[3, 4, 5, 6]].sum())
+    assert set(h.benefits) == {"tr:a"}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_select_adds_no_attributes_to_hierarchy(toy_index, name):
+    scores = np.linspace(0.1, 0.9, 10)
+    h = Hierarchy.build(toy_index, ["tr:a", "tr:b", "tr:a b", "tr:c", "tr:d"], {7})
+    before = set(vars(h))
+    strat = STRATEGIES[name]("tr:c d")
+    strat.select(h, h.mask, scores, asked=set())
+    strat.select(h, h.mask, scores, asked={"tr:a", "tr:b"})
+    assert set(vars(h)) == before

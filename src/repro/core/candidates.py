@@ -28,16 +28,13 @@ from repro.index.inverted import HeuristicIndex
 
 def generate_candidates(
     index: HeuristicIndex,
-    positives: set[int] | np.ndarray,
+    mask: np.ndarray,
     k: int,
     *,
     max_duplicate_signature: int = 3,
 ) -> list[str]:
-    """Return up to ``k`` candidate heuristic keys (Algorithm 2).
-
-    ``positives`` is P as sentence ids or as a bool mask over sentences.
-    """
-    mask = index.mask(positives)
+    """Return up to ``k`` candidate heuristic keys (Algorithm 2) for P
+    given as a bool mask over sentences."""
     overlaps = index.overlaps(mask).tolist()
     counts = index.counts.tolist()
     rows = index.rows

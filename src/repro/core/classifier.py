@@ -15,6 +15,8 @@ random negatives from the unlabeled corpus exactly as §3.3 describes
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 
@@ -41,22 +43,19 @@ class EmbeddingClassifier:
         self.b = 0.0
         self._fitted = False
 
-    def fit(self, pos_ids: set[int], neg_ids: set[int] | None = None) -> "EmbeddingClassifier":
-        """Train on discovered positives vs (sampled) negatives.
+    def fit(self, pos_ids: Iterable[int]) -> "EmbeddingClassifier":
+        """Train on discovered positives vs sampled negatives.
 
-        With no explicit negatives, samples ``max(2·|pos|, 50)`` ids
-        uniformly from outside ``pos_ids`` — noisy but adequate under
-        class imbalance, as in the paper.
+        Samples ``max(neg_ratio·|pos|, 50)`` ids uniformly from outside
+        ``pos_ids`` — noisy but adequate under class imbalance, as in
+        the paper.
         """
         pos = np.fromiter(pos_ids, dtype=np.int64)
         if len(pos) == 0:
             raise ValueError("cannot fit with zero positive instances")
-        if neg_ids is None:
-            k = min(self.n - len(pos), max(int(self.neg_ratio * len(pos)), 50))
-            pool = np.setdiff1d(np.arange(self.n), pos, assume_unique=False)
-            neg = self._rng.choice(pool, size=k, replace=False)
-        else:
-            neg = np.fromiter(neg_ids, dtype=np.int64)
+        k = min(self.n - len(pos), max(int(self.neg_ratio * len(pos)), 50))
+        pool = np.setdiff1d(np.arange(self.n), pos, assume_unique=False)
+        neg = self._rng.choice(pool, size=k, replace=False)
         ids = np.concatenate([pos, neg])
         y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
         X = self.X[ids]
@@ -102,7 +101,7 @@ class ScriptedClassifier:
         self.n = len(self._scores)
         self.fit_calls = 0
 
-    def fit(self, pos_ids, neg_ids=None) -> "ScriptedClassifier":
+    def fit(self, pos_ids) -> "ScriptedClassifier":
         self.fit_calls += 1
         return self
 

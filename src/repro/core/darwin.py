@@ -49,9 +49,10 @@ def run_darwin(
 ) -> DarwinResult:
     """Run Darwin (Algorithm 1) and return rules/positives/classifier.
 
-    ``seed_rule`` must be a key present in the index (the paper assumes
-    the seed yields ≥2 positives); alternatively ``seed_positive_ids``
-    starts the pipeline from a couple of labeled sentences.
+    ``seed_rule`` must be a key present in the index that covers at
+    least one sentence (the paper assumes the seed yields ≥2 positives);
+    alternatively ``seed_positive_ids`` starts the pipeline from a
+    couple of labeled sentences, each in ``[0, n_sentences)``.
     ``true_labels`` is only used to annotate the history with recall —
     it never influences the search. ``oracle(key, ids)`` receives the
     key's sorted sentence ids as an integer array.
@@ -63,17 +64,22 @@ def run_darwin(
     if seed_rule is not None:
         if seed_rule not in index:
             raise KeyError(f"seed rule {seed_rule!r} not found in index")
-        positives = set(index.ids(seed_rule).tolist())
+        seed_ids = index.ids(seed_rule)
+        if not len(seed_ids):
+            raise ValueError(f"seed rule {seed_rule!r} covers no sentence")
         rules.append(seed_rule)
     else:
-        positives = set(seed_positive_ids)
-    # P twice: the set that is returned and fits the classifier, and a
-    # bool mask for the index passes. A YES makes a new mask, so a
-    # hierarchy's mask stays the P it was built for.
-    mask = index.mask(positives)
-
-    classifier.fit(positives)
-    scores = classifier.scores()
+        seed_ids = np.fromiter(seed_positive_ids, dtype=np.int64)
+        bad = seed_ids[(seed_ids < 0) | (seed_ids >= index.n_sentences)]
+        if len(bad):
+            raise ValueError(
+                f"seed_positive_ids {sorted(bad.tolist())} outside "
+                f"[0, {index.n_sentences})"
+            )
+    # P, as a bool mask over sentences. A YES makes a new mask, so a
+    # hierarchy keeps the P it was built for.
+    mask = index.mask(seed_ids)
+    classifier.fit(np.flatnonzero(mask))
 
     strat = STRATEGIES[strategy](seed_rule or "*")
 
@@ -82,7 +88,7 @@ def run_darwin(
     history: list[dict] = []
 
     cands = generate_candidates(index, mask, K_CANDIDATES)
-    hierarchy = Hierarchy.build(index, cands, mask)
+    hierarchy = Hierarchy.build(index, cands, mask, scores=classifier.scores())
     # Prime the strategy with the seed's (known-YES) verdict so
     # LocalSearch starts from the seed's neighborhood (Alg 3 line 3).
     if seed_rule is not None:
@@ -90,15 +96,15 @@ def run_darwin(
     else:
         # Seeded from labeled sentences: the local neighborhood is the
         # set of candidate rules with evidence on those sentences.
-        strat.prime([k for k in hierarchy.nodes if mask[index.ids(k)].any()])
+        strat.prime(hierarchy.overlapping())
     stale = False  # regenerate candidates whenever P changes
 
     for q in range(1, budget + 1):
         if stale:
             cands = generate_candidates(index, mask, K_CANDIDATES)
-            hierarchy = Hierarchy.build(index, cands, mask)
+            hierarchy = Hierarchy.build(index, cands, mask, scores=classifier.scores())
             stale = False
-        key = strat.select(hierarchy, mask, scores, asked)
+        key = strat.select(hierarchy, asked)
         if key is None:
             break
         asked.add(key)
@@ -107,20 +113,19 @@ def run_darwin(
         strat.feedback(key, answer, hierarchy)
         if answer:
             rules.append(key)
-            positives.update(ids.tolist())
             mask = mask.copy()
             mask[ids] = True
-            classifier.fit(positives)
-            scores = classifier.scores()
+            classifier.fit(np.flatnonzero(mask))
             stale = True
         rec = {
             "query": q,
             "key": key,
             "answer": answer,
-            "n_positives": len(positives),
+            "n_positives": int(mask.sum()),
         }
         if n_true_pos:
             rec["recall"] = float(true_labels[mask].sum() / n_true_pos)
         history.append(rec)
 
+    positives = set(np.flatnonzero(mask).tolist())
     return DarwinResult(rules=rules, positives=positives, classifier=classifier, history=history)

@@ -1,11 +1,16 @@
 """Hierarchical arrangement of candidate heuristics + cleanup (§3.2).
 
-Nodes are candidate keys; an edge ``parent → child`` exists when the
-child is one derivation step stricter (per the owning grammar's
-``parents_of``) and both endpoints are candidates. The cleanup pass
-drops heuristics whose coverage adds no new positives over the already
-identified set ``P`` — "the traversal component will never query a
-heuristic that does not add any new positives".
+A :class:`Hierarchy` is the search loop's one view of the positive set
+P (a bool mask over sentences) and of the classifier scores trained on
+it; Darwin builds a new one whenever the oracle says YES. Nodes are the
+candidate keys that survive the cleanup pass, which drops heuristics
+whose coverage adds no new positives over P — "the traversal component
+will never query a heuristic that does not add any new positives".
+
+Edges are not stored: a node's parents and children are its grammar
+parents and index children that are also nodes (§3.4: neighbours come
+from the index on the fly). Benefits (§3.3) are computed on demand and
+memoized, since they depend only on P and the scores.
 """
 from __future__ import annotations
 
@@ -16,60 +21,70 @@ from repro.index.inverted import HeuristicIndex
 
 
 class Hierarchy:
-    """Subset/superset DAG over a candidate set."""
+    """Candidate heuristics arranged for one P and one score vector."""
 
     def __init__(
         self,
         nodes: list[str],
         index: HeuristicIndex,
-        positives: set[int] | np.ndarray = (),
+        mask: np.ndarray,
+        *,
+        scores: np.ndarray,
     ):
         self.index = index
-        # P, as a bool mask, that the nodes were arranged for.
-        self.mask = index.mask(positives)
-        # key → (benefit, avg benefit) under ``mask``, filled by the
-        # traversal strategies. Darwin builds a new hierarchy whenever P,
-        # and with it the classifier scores, changes.
-        self.benefits: dict[str, tuple[float, float]] = {}
         self.nodes: list[str] = list(nodes)
-        node_set = set(self.nodes)
-        self._parents: dict[str, list[str]] = {}
-        self._children: dict[str, list[str]] = {}
-        for n in self.nodes:
-            ps = [p for p in parents_of(n) if p in node_set]
-            self._parents[n] = ps
-            for p in ps:
-                self._children.setdefault(p, []).append(n)
-        for kids in self._children.values():
-            kids.sort()
+        self._node_set = set(self.nodes)
+        self.mask = mask
+        self.scores = scores
+        # key → (benefit, avg benefit) under ``mask`` and ``scores``.
+        self._benefits: dict[str, tuple[float, float]] = {}
 
     @classmethod
     def build(
         cls,
         index: HeuristicIndex,
         candidates: list[str],
-        positives: set[int] | np.ndarray,
+        mask: np.ndarray,
+        *,
+        scores: np.ndarray,
     ) -> "Hierarchy":
         """Arrange the candidates that add new positives (the cleanup):
         a candidate whose overlap with P equals its count is dropped."""
-        mask = index.mask(positives)
         kept = [c for c in candidates if not mask[index.ids(c)].all()]
-        return cls(kept, index, mask)
+        return cls(kept, index, mask, scores=scores)
+
+    def benefit(self, key: str) -> tuple[float, float]:
+        """(benefit, average benefit) of ``key`` (§3.3): the sum and the
+        mean of the scores of ``C_key \\ P``; (0, 0) when that is empty."""
+        hit = self._benefits.get(key)
+        if hit is None:
+            ids = self.index.ids(key)
+            vals = self.scores[ids[~self.mask[ids]]]
+            hit = (float(vals.sum()), float(vals.mean())) if len(vals) else (0.0, 0.0)
+            self._benefits[key] = hit
+        return hit
+
+    def overlapping(self) -> list[str]:
+        """The nodes whose coverage meets P."""
+        return [k for k in self.nodes if self.mask[self.index.ids(k)].any()]
 
     def parents(self, key: str) -> list[str]:
-        """Hierarchy parents; falls back to the index for off-hierarchy keys
-        (LocalSearch expands the neighborhood on the fly, §3.4)."""
-        if key in self._parents:
-            return self._parents[key]
-        return self.index.parents(key)
+        """Parents among the nodes; an off-hierarchy key gets the index's
+        parents (LocalSearch expands the neighborhood on the fly, §3.4)."""
+        if key not in self._node_set:
+            return self.index.parents(key)
+        return [p for p in parents_of(key) if p in self._node_set]
 
     def children(self, key: str) -> list[str]:
-        if key in self._children:
-            return self._children[key]
-        return self.index.children(key)
+        """Children among the nodes; the index's children for an
+        off-hierarchy key or a node with no child among the nodes."""
+        kids = self.index.children(key)
+        if key in self._node_set:
+            return [c for c in kids if c in self._node_set] or kids
+        return kids
 
     def __contains__(self, key: str) -> bool:
-        return key in self._parents
+        return key in self._node_set
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -5,9 +5,11 @@ Two paths with identical semantics:
 - :func:`label_matrix` — driver-side (n × m) boolean matrix from the
   index's inverted lists, consumed by the snorkel-lite label model;
 - :func:`apply_rules` — distributed rule application over the
-  (annotated) corpus DataFrame with ``mapInPandas``, used when the
-  corpus is too large to index-collect (the 1M-sentence profession job)
-  and by tests as an independent check of the index's inverted lists.
+  (annotated) corpus DataFrame with ``mapInPandas``, which adds the
+  weak-label columns to the corpus on the executors (the 1M-sentence
+  profession job) and serves tests as an independent check of the
+  index's inverted lists. Every Darwin rule is an indexed key, so both
+  paths fire on the same sentences.
 """
 from __future__ import annotations
 

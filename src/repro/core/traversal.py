@@ -8,41 +8,13 @@ positives — and the *average benefit* is the same sum divided by
 is ≤ 0.5 ("majority of the instances in C_r are expected to be
 negatives", Alg 4 line 8).
 
-Each strategy exposes ``select(hierarchy, P, scores, asked)`` → key (or
-``None`` when out of moves) and ``feedback(key, yes, hierarchy)``. P is
-a set of sentence ids or a bool mask over sentences.
+Each strategy exposes ``select(hierarchy, asked)`` → key (or ``None``
+when out of moves) and ``feedback(key, yes, hierarchy)``. The hierarchy
+carries P and the classifier scores, and computes benefits
+(:meth:`~repro.core.hierarchy.Hierarchy.benefit`).
 The Darwin driver owns the oracle budget and the asked-set.
 """
 from __future__ import annotations
-
-import numpy as np
-
-from repro.core.hierarchy import Hierarchy
-
-
-def _benefit_pair(hierarchy: Hierarchy, key: str, positives, scores: np.ndarray) -> tuple[float, float]:
-    """(benefit, avg benefit); memoized on the hierarchy when P is the
-    mask the hierarchy was built for."""
-    mask = hierarchy.index.mask(positives)
-    memo = hierarchy.benefits if mask is hierarchy.mask else {}
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    ids = hierarchy.index.ids(key)
-    vals = scores[ids[~mask[ids]]]
-    out = (float(vals.sum()), float(vals.mean())) if len(vals) else (0.0, 0.0)
-    memo[key] = out
-    return out
-
-
-def benefit(hierarchy: Hierarchy, key: str, positives, scores: np.ndarray) -> float:
-    """Expected gain in P upon accepting ``key`` (§3.3)."""
-    return _benefit_pair(hierarchy, key, positives, scores)[0]
-
-
-def avg_benefit(hierarchy: Hierarchy, key: str, positives, scores: np.ndarray) -> float:
-    """Benefit per *new* instance; 0 when the rule adds nothing."""
-    return _benefit_pair(hierarchy, key, positives, scores)[1]
 
 
 def _argmax(keys, score_fn) -> str | None:
@@ -74,22 +46,18 @@ class LocalSearch:
         sentences instead of a seed rule (Alg 1's alternative input)."""
         self.cands.update(keys)
 
-    def select(self, hierarchy, positives, scores, asked) -> str | None:
+    def select(self, hierarchy, asked) -> str | None:
         pool = [k for k in self.cands if k not in asked and k != "*"]
         if not pool:
             # Graph neighborhood exhausted (e.g. a unigram seed whose
             # only parent is the root): refill with candidates that are
             # local in *coverage* space — rules overlapping the
             # positives found so far.
-            index = hierarchy.index
-            mask = index.mask(positives)
-            self.cands.update(
-                k for k in hierarchy.nodes if k not in asked and mask[index.ids(k)].any()
-            )
+            self.cands.update(k for k in hierarchy.overlapping() if k not in asked)
             pool = [k for k in self.cands if k not in asked and k != "*"]
             if not pool:
                 return None
-        return _argmax(pool, lambda k: benefit(hierarchy, k, positives, scores))
+        return _argmax(pool, lambda k: hierarchy.benefit(k)[0])
 
     def feedback(self, key, yes, hierarchy) -> None:
         self.cands.discard(key)
@@ -108,25 +76,21 @@ class UniversalSearch:
     def __init__(self, seed_rule: str):
         self.seed = seed_rule
 
-    def select(self, hierarchy, positives, scores, asked) -> str | None:
+    def select(self, hierarchy, asked) -> str | None:
         pool = [k for k in hierarchy.nodes if k not in asked]
         if not pool:
             return None
-        passing = [
-            k for k in pool if avg_benefit(hierarchy, k, positives, scores) > 0.5
-        ]
+        passing = [k for k in pool if hierarchy.benefit(k)[1] > 0.5]
         if passing:
-            return _argmax(passing, lambda k: benefit(hierarchy, k, positives, scores))
+            return _argmax(passing, lambda k: hierarchy.benefit(k)[0])
         # Nothing clears the 0.5 bar (weak early classifier, §3.5's
         # noted failure mode): prefer expected precision over raw mass
         # so the budget is not burned on huge junk rules.
-        return _argmax(
-            pool,
-            lambda k: (
-                avg_benefit(hierarchy, k, positives, scores),
-                benefit(hierarchy, k, positives, scores),
-            ),
-        )
+        def avg_then_benefit(k: str) -> tuple[float, float]:
+            total, avg = hierarchy.benefit(k)
+            return avg, total
+
+        return _argmax(pool, avg_then_benefit)
 
     def prime(self, keys) -> None:
         pass
@@ -155,12 +119,12 @@ class HybridSearch:
     def _mode(self):
         return self.universal if self.universal_mode else self.local
 
-    def select(self, hierarchy, positives, scores, asked) -> str | None:
-        q = self._mode().select(hierarchy, positives, scores, asked)
+    def select(self, hierarchy, asked) -> str | None:
+        q = self._mode().select(hierarchy, asked)
         if q is None:  # current mode exhausted → toggle once
             self.universal_mode = not self.universal_mode
             self.attempt = 0
-            q = self._mode().select(hierarchy, positives, scores, asked)
+            q = self._mode().select(hierarchy, asked)
         return q
 
     def feedback(self, key, yes, hierarchy) -> None:
@@ -190,14 +154,14 @@ class HighP:
     def prime(self, keys) -> None:
         pass
 
-    def select(self, hierarchy, positives, scores, asked) -> str | None:
+    def select(self, hierarchy, asked) -> str | None:
         pool = [k for k in hierarchy.nodes if k not in asked]
         if not pool:
             return None
 
         def expected_precision(k: str) -> float:
             ids = hierarchy.index.ids(k)
-            return float(scores[ids].mean()) if len(ids) else 0.0
+            return float(hierarchy.scores[ids].mean()) if len(ids) else 0.0
 
         return _argmax(pool, expected_precision)
 
@@ -219,7 +183,7 @@ class HighC:
     def prime(self, keys) -> None:
         pass
 
-    def select(self, hierarchy, positives, scores, asked) -> str | None:
+    def select(self, hierarchy, asked) -> str | None:
         if self._order is None:
             idx = hierarchy.index
             self._order = sorted(idx.keys(), key=lambda k: (-idx.count(k), k))

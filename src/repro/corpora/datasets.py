@@ -178,8 +178,6 @@ def directions(n: int = 15_300, seed: int = 0) -> CorpusSpec:
         slots=_SHARED_SLOTS,
         seed=seed,
         seed_rule=("best", "way", "to", "get", "to"),
-        expert_keywords=("way", "get", "taxi", "uber", "airport", "hotel",
-                         "station", "downtown", "reach", "to"),
     )
 
 
@@ -241,8 +239,6 @@ def cause_effect(n: int = 10_700, seed: int = 1) -> CorpusSpec:
         slots=_SHARED_SLOTS,
         seed=seed,
         seed_rule=("caused", "by"),
-        expert_keywords=("caused", "led", "triggered", "resulted", "effect",
-                         "because", "due", "damage", "cause", "after"),
     )
 
 
@@ -297,8 +293,6 @@ def musicians(n: int = 15_800, seed: int = 2) -> CorpusSpec:
         slots=_SHARED_SLOTS,
         seed=seed,
         seed_rule=("composer",),
-        expert_keywords=("composer", "piano", "guitar", "band", "album",
-                         "sang", "music", "concert", "played", "recorded"),
     )
 
 
@@ -351,8 +345,6 @@ def professions(n: int = 50_000, seed: int = 3) -> CorpusSpec:
         slots=_SHARED_SLOTS,
         seed=seed,
         seed_rule=("works", "as", "a"),
-        expert_keywords=("job", "works", "teacher", "engineer", "nurse",
-                         "hired", "career", "profession", "scientist", "lawyer"),
     )
 
 
@@ -403,8 +395,6 @@ def tweets(n: int = 2_130, seed: int = 4) -> CorpusSpec:
         slots=_SHARED_SLOTS,
         seed=seed,
         seed_rule=("craving",),
-        expert_keywords=("food", "craving", "order", "lunch", "dinner",
-                         "pizza", "sushi", "grab", "eat", "hungry"),
     )
 
 

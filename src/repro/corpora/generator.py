@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pandas as pd
@@ -52,17 +52,11 @@ class CorpusSpec:
     negative_templates: tuple[str, ...]
     slots: dict[str, tuple[str, ...]] = field(default_factory=dict)
     seed: int = 0
-    # Expert inputs consumed by baselines / Darwin initialization:
-    seed_rule: tuple[str, ...] = ()          # default seed phrase for Darwin
-    expert_keywords: tuple[str, ...] = ()    # for the Keyword-Sampling baseline
+    seed_rule: tuple[str, ...] = ()  # expert input: Darwin's default seed phrase
 
     def with_n(self, n: int) -> "CorpusSpec":
         """Same recipe at a different corpus size (tests vs benchmarks)."""
-        return CorpusSpec(
-            self.name, n, self.pos_frac, self.families,
-            self.negative_templates, self.slots, self.seed,
-            self.seed_rule, self.expert_keywords,
-        )
+        return replace(self, n=n)
 
 
 def _fill(template: str, slots: dict[str, tuple[str, ...]], rng: np.random.Generator) -> str:

@@ -52,18 +52,12 @@ def prepare(
     *,
     cfg: SketchConfig | None = None,
     min_count: int = 2,
-    top_k: int | None = None,
-    embedding: str = "word2vec",
-    dim: int = emb.DEFAULT_DIM,
-    partitions: int | None = None,
 ) -> Prepared:
     """Build and collect all per-corpus artifacts (see module docstring)."""
     cfg = cfg or SketchConfig(max_len=5)
-    corpus = build_corpus(spark, spec, partitions=partitions).cache()
+    corpus = build_corpus(spark, spec).cache()
 
-    index = HeuristicIndex.from_sketch(
-        sketch_df(corpus, cfg), spec.n, min_count=min_count, top_k=top_k
-    )
+    index = HeuristicIndex.from_sketch(sketch_df(corpus, cfg), spec.n, min_count=min_count)
 
     rows = (
         corpus.select("sid", "label", "tokens").orderBy("sid").collect()
@@ -71,11 +65,8 @@ def prepare(
     labels = np.array([r["label"] for r in rows], dtype=np.int64)
     token_lists = [list(r["tokens"]) for r in rows]
 
-    if embedding == "word2vec":
-        vocab = emb.word2vec_embeddings(corpus, dim=dim)
-    else:
-        vocab = emb.hashing_embeddings((t for ts in token_lists for t in ts), dim=dim)
-    features = emb.combined_matrix(token_lists, vocab, dim)
+    vocab = emb.word2vec_embeddings(corpus)
+    features = emb.combined_matrix(token_lists, vocab, emb.DEFAULT_DIM)
 
     return Prepared(
         spec=spec,

@@ -30,14 +30,7 @@ def _terms(i: int, tokens: list[str], tags: list[str]) -> tuple[str, str]:
     return f"t={tokens[i]}", f"p={tags[i]}"
 
 
-def sketch(
-    tokens: list[str],
-    tags: list[str],
-    parents: list[int],
-    *,
-    include_desc: bool = True,
-    include_conj: bool = True,
-) -> set[str]:
+def sketch(tokens: list[str], tags: list[str], parents: list[int]) -> set[str]:
     """All TreeMatch keys the sentence satisfies."""
     out: set[str] = set()
     n = len(tokens)
@@ -57,23 +50,21 @@ def sketch(
                 pair_keys.append(f"{PREFIX}:{a}/{b}")
     out.update(pair_keys)
 
-    if include_desc:
-        for i in range(n):
-            iw, ip = _terms(i, tokens, tags)
-            for d in descendants_of(parents, i):
-                dw, dp = _terms(d, tokens, tags)
-                for a in (iw, ip):
-                    for b in (dw, dp):
-                        out.add(f"{PREFIX}:{a}//{b}")
+    for i in range(n):
+        iw, ip = _terms(i, tokens, tags)
+        for d in descendants_of(parents, i):
+            dw, dp = _terms(d, tokens, tags)
+            for a in (iw, ip):
+                for b in (dw, dp):
+                    out.add(f"{PREFIX}:{a}//{b}")
 
-    if include_conj:
-        words = {f"t={w}" for w in tokens}
-        for pk in pair_keys:
-            body = pk.split(":", 1)[1]
-            for w in words:
-                # Skip self-conjunctions that add no constraint.
-                if w not in body.split("/"):
-                    out.add(f"{pk}&{w}")
+    words = {f"t={w}" for w in tokens}
+    for pk in pair_keys:
+        body = pk.split(":", 1)[1]
+        for w in words:
+            # Skip self-conjunctions that add no constraint.
+            if w not in body.split("/"):
+                out.add(f"{pk}&{w}")
     return out
 
 

@@ -39,7 +39,6 @@ def index_df(
     sketch: DataFrame,
     *,
     min_count: int = 1,
-    with_ids: bool = True,
     top_k: int | None = None,
 ) -> DataFrame:
     """Aggregate ``(sid, key)`` sketch rows into the inverted index.
@@ -56,8 +55,6 @@ def index_df(
         counts = counts.filter(F.col("count") >= min_count)
     if top_k is not None:
         counts = counts.orderBy(F.desc("count"), "key").limit(top_k)
-    if not with_ids:
-        return counts
     return (
         sketch.join(counts.select("key"), "key")
         .groupBy("key")
@@ -156,12 +153,10 @@ class HeuristicIndex:
         r = self.rows.get(key)
         return 0 if r is None else int(self.counts[r])
 
-    def mask(self, positives: Iterable[int] | np.ndarray) -> np.ndarray:
-        """P as a bool mask over sentences; a mask is returned as is."""
-        if isinstance(positives, np.ndarray) and positives.dtype == bool:
-            return positives
+    def mask(self, ids: Iterable[int]) -> np.ndarray:
+        """The sentence ids ``ids`` as a bool mask over sentences."""
         mask = np.zeros(self.n_sentences, dtype=bool)
-        mask[np.fromiter(positives, dtype=np.int64)] = True
+        mask[np.fromiter(ids, dtype=np.int64)] = True
         return mask
 
     def overlaps(self, mask: np.ndarray) -> np.ndarray:

@@ -26,23 +26,16 @@ class SketchConfig:
 
     max_len: int = 4          # TokensRegex n-gram length bound
     max_gap: int = 3          # TokensRegex 'a * b' gap bound; 0 disables gaps
-    use_tokensregex: bool = True
     use_treematch: bool = False
-    tm_desc: bool = True      # TreeMatch '//' patterns
-    tm_conj: bool = True      # TreeMatch '∧' patterns
 
 
 def sentence_sketch(
     tokens: list[str], tags: list[str], parents: list[int], cfg: SketchConfig
 ) -> set[str]:
     """Union of grammar sketches for one sentence."""
-    out: set[str] = set()
-    if cfg.use_tokensregex:
-        out |= tokensregex.sketch(tokens, max_len=cfg.max_len, max_gap=cfg.max_gap)
+    out = tokensregex.sketch(tokens, max_len=cfg.max_len, max_gap=cfg.max_gap)
     if cfg.use_treematch:
-        out |= treematch.sketch(
-            tokens, tags, parents, include_desc=cfg.tm_desc, include_conj=cfg.tm_conj
-        )
+        out |= treematch.sketch(tokens, tags, parents)
     return out
 
 

@@ -91,11 +91,12 @@ def _positive_sets(prep) -> dict[str, set[int]]:
 
 def _assert_same(index, positives: set[int]) -> None:
     ref_index = SetIndex(index)
+    mask = index.mask(positives)
+    scores = np.full(index.n_sentences, 0.5)
     for k in (3, 500):
         want = reference_generate_candidates(ref_index, positives, k)
-        assert generate_candidates(index, positives, k) == want
-        assert generate_candidates(index, index.mask(positives), k) == want
-        assert Hierarchy.build(index, want, positives).nodes == reference_cleanup(
+        assert generate_candidates(index, mask, k) == want
+        assert Hierarchy.build(index, want, mask, scores=scores).nodes == reference_cleanup(
             ref_index, want, positives
         )
 
@@ -124,7 +125,7 @@ def test_diversity_cap_matches_reference():
     for cap in (0, 1, 2, 6):
         for positives in (set(), {0}, {0, 1, 2}):
             assert generate_candidates(
-                idx, positives, 10, max_duplicate_signature=cap
+                idx, idx.mask(positives), 10, max_duplicate_signature=cap
             ) == reference_generate_candidates(
                 SetIndex(idx), positives, 10, max_duplicate_signature=cap
             )

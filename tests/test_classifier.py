@@ -22,7 +22,8 @@ def test_unfitted_scores_are_half():
 def test_fit_separable_data():
     X, y = _separable()
     clf = EmbeddingClassifier(X, seed=1)
-    clf.fit(set(np.nonzero(y)[0].tolist()), set(np.nonzero(y == 0)[0].tolist()))
+    # About half the 200 sentences are positive: the sample holds every negative.
+    clf.fit(set(np.nonzero(y)[0].tolist()))
     acc = ((clf.scores() >= 0.5) == y).mean()
     assert acc > 0.95
 

@@ -42,10 +42,10 @@ def test_overlaps_with_empty_lists():
     assert idx.overlaps(mask).tolist() == [0, 2, 0, 1, 0]
 
 
-def test_mask_passes_a_mask_through(toy_index):
+def test_mask_from_ids(toy_index):
     mask = toy_index.mask({2, 3})
     assert mask.dtype == bool and np.flatnonzero(mask).tolist() == [2, 3]
-    assert toy_index.mask(mask) is mask
+    assert np.array_equal(toy_index.mask(toy_index.ids("tr:a b")), toy_index.mask([4, 3, 2]))
     assert not toy_index.mask(set()).any()
 
 
@@ -53,6 +53,6 @@ def test_empty_index():
     idx = HeuristicIndex({}, n_sentences=4)
     assert len(idx) == 0 and idx.keys() == []
     assert idx.overlaps(idx.mask({1})).tolist() == []
-    assert generate_candidates(idx, {1}, 10) == []
-    assert Hierarchy.build(idx, [], {1}).nodes == []
+    assert generate_candidates(idx, idx.mask({1}), 10) == []
+    assert Hierarchy.build(idx, [], idx.mask({1}), scores=np.full(4, 0.5)).nodes == []
     assert idx.coverage(ROOT) == frozenset(range(4))

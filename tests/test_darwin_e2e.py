@@ -208,6 +208,22 @@ def test_empty_index_runs():
     _assert_session_invariants(res, idx, 5, labels, seed_ids={1, 2})
 
 
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_seed_ids_outside_corpus_rejected(toy_index, toy_labels, bad):
+    with pytest.raises(ValueError, match=rf"seed_positive_ids \[{bad}\]"):
+        run_darwin(toy_index, _toy_classifier(), GroundTruthOracle(toy_labels),
+                   seed_positive_ids={2, bad}, budget=5)
+
+
+def test_seed_rule_covering_nothing_rejected(toy_labels):
+    from repro.index.inverted import HeuristicIndex
+
+    idx = HeuristicIndex({"tr:a": [], "tr:b": [1, 2]}, n_sentences=10)
+    with pytest.raises(ValueError, match="'tr:a' covers no sentence"):
+        run_darwin(idx, _toy_classifier(), GroundTruthOracle(toy_labels),
+                   seed_rule="tr:a", budget=5)
+
+
 def test_budget_zero_runs(toy_index, toy_labels):
     res = run_darwin(toy_index, _toy_classifier(), GroundTruthOracle(toy_labels),
                      seed_rule="tr:a b", budget=0, true_labels=toy_labels)

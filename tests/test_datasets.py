@@ -47,12 +47,6 @@ def test_seed_rule_fires_on_positives_only_mostly(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_expert_keywords_provided(name):
-    spec = ALL_DATASETS[name]()
-    assert len(spec.expert_keywords) == 10
-
-
-@pytest.mark.parametrize("name", NAMES)
 def test_determinism(name):
     spec = ALL_DATASETS[name]().with_n(500)
     assert generate_pandas(spec).equals(generate_pandas(spec))

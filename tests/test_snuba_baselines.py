@@ -1,11 +1,8 @@
-"""Tests for Snuba, Active Learning, and Keyword Sampling baselines."""
+"""Tests for the Snuba baseline."""
 import numpy as np
 import pytest
 
-from repro.baselines.active_learning import run_active_learning
-from repro.baselines.keyword_sampling import keyword_filter, run_keyword_sampling
 from repro.baselines.snuba import run_snuba, snuba_positives
-from repro.core.classifier import EmbeddingClassifier
 from repro.eval.metrics import coverage_of_ids
 
 
@@ -61,41 +58,3 @@ def test_snuba_recall_grows_with_labels(prep_directions):
         prep.labels,
     )
     assert r_large >= r_small
-
-
-def test_keyword_filter():
-    toks = [["a", "b"], ["c"], ["b", "d"]]
-    assert keyword_filter(toks, ("b",)).tolist() == [0, 2]
-    assert keyword_filter(toks, ("zzz",)).tolist() == []
-
-
-def test_keyword_sampling_runs(prep_directions):
-    prep = prep_directions
-    out = run_keyword_sampling(
-        prep.make_classifier(),
-        prep.labels,
-        prep.token_lists,
-        prep.spec.expert_keywords,
-        budget=30,
-        eval_every=10,
-    )
-    assert len(out["labeled"]) <= 30
-    assert out["history"], "expected at least one evaluation point"
-    for h in out["history"]:
-        assert 0 <= h["f1"] <= 1
-
-
-def test_active_learning_improves(prep_directions):
-    prep = prep_directions
-    pos = np.nonzero(prep.labels)[0][:3].tolist()
-    neg = np.nonzero(prep.labels == 0)[0][:5].tolist()
-    out = run_active_learning(
-        prep.make_classifier(),
-        prep.labels,
-        seed_ids=pos + neg,
-        budget=30,
-        eval_every=15,
-    )
-    assert out["history"][-1]["query"] == 30
-    assert out["history"][-1]["f1"] >= 0.0
-    assert len(out["labeled"]) == len(pos) + len(neg) + 30

@@ -12,66 +12,67 @@ from repro.core.traversal import (
     HybridSearch,
     LocalSearch,
     UniversalSearch,
-    avg_benefit,
-    benefit,
 )
+
+NODES = ["tr:a", "tr:b", "tr:a b", "tr:c", "tr:c d", "tr:d"]
+SCORES = np.array([0.9, 0.9, 0.9, 0.9, 0.9, 0.1, 0.1, 0.9, 0.1, 0.1])
+
+
+def _hierarchy(index, positives=(), scores=SCORES, nodes=NODES):
+    """The nodes arranged (no cleanup) for P = ``positives``."""
+    return Hierarchy(nodes, index, index.mask(positives), scores=scores)
 
 
 @pytest.fixture()
 def setup(toy_index):
-    nodes = ["tr:a", "tr:b", "tr:a b", "tr:c", "tr:c d", "tr:d"]
-    h = Hierarchy(nodes, toy_index)
-    scores = np.array([0.9, 0.9, 0.9, 0.9, 0.9, 0.1, 0.1, 0.9, 0.1, 0.1])
-    return h, scores
+    return _hierarchy(toy_index)
 
 
-def test_benefit_excludes_covered(setup):
-    h, scores = setup
+def test_benefit_excludes_covered(toy_index):
     # cov('tr:a') = {0..4}; P = {0,1} → new = {2,3,4} each scored 0.9.
-    assert benefit(h, "tr:a", {0, 1}, scores) == pytest.approx(2.7)
-    assert avg_benefit(h, "tr:a", {0, 1}, scores) == pytest.approx(0.9)
+    total, avg = _hierarchy(toy_index, {0, 1}).benefit("tr:a")
+    assert total == pytest.approx(2.7)
+    assert avg == pytest.approx(0.9)
 
 
-def test_benefit_zero_when_fully_covered(setup):
-    h, scores = setup
-    assert benefit(h, "tr:a", {0, 1, 2, 3, 4}, scores) == 0.0
-    assert avg_benefit(h, "tr:a", {0, 1, 2, 3, 4}, scores) == 0.0
+def test_benefit_zero_when_fully_covered(toy_index):
+    assert _hierarchy(toy_index, {0, 1, 2, 3, 4}).benefit("tr:a") == (0.0, 0.0)
 
 
 def test_benefit_cache_consistent(setup):
-    h, scores = setup
-    a = benefit(h, "tr:b", set(), scores)
-    b = benefit(h, "tr:b", set(), scores)
+    h = setup
+    a = h.benefit("tr:b")
+    b = h.benefit("tr:b")
     assert a == b
 
 
 def test_local_search_yes_adds_parents(setup):
-    h, scores = setup
+    h = setup
     ls = LocalSearch("tr:a b")
     ls.feedback("tr:a b", True, h)
     assert ls.cands == {"tr:a", "tr:b"}
 
 
 def test_local_search_no_adds_children(setup):
-    h, scores = setup
+    h = setup
     ls = LocalSearch("tr:a")
     ls.feedback("tr:a", False, h)
     assert ls.cands == {"tr:a b"}
 
 
 def test_local_search_selects_max_benefit(setup):
-    h, scores = setup
+    h = setup
     ls = LocalSearch("seed")
     ls.cands = {"tr:a", "tr:c"}
     # benefit(a)=4*0.9+0.1 vs benefit(c)=0.9+0.1 → picks 'tr:a'.
-    assert ls.select(h, set(), scores, asked=set()) == "tr:a"
+    assert ls.select(h, asked=set()) == "tr:a"
 
 
-def test_local_search_skips_asked_and_refills(setup):
-    h, scores = setup
+def test_local_search_skips_asked_and_refills(toy_index):
+    h = _hierarchy(toy_index, {7})
     ls = LocalSearch("tr:a")
     # Neighborhood exhausted → refills with rules overlapping P.
-    got = ls.select(h, {7}, scores, asked={"tr:a"})
+    got = ls.select(h, asked={"tr:a"})
     assert got in {"tr:c", "tr:c d", "tr:d"}
 
 
@@ -79,51 +80,50 @@ def test_local_search_returns_none_when_nothing_overlaps():
     from repro.index.inverted import HeuristicIndex
 
     idx = HeuristicIndex({"tr:x": frozenset({0})}, n_sentences=2)
-    h = Hierarchy(["tr:x"], idx)
+    h = _hierarchy(idx, {1}, np.array([0.5, 0.5]), ["tr:x"])
     ls = LocalSearch("tr:x")
-    assert ls.select(h, {1}, np.array([0.5, 0.5]), asked={"tr:x"}) is None
+    assert ls.select(h, asked={"tr:x"}) is None
 
 
 def test_universal_filters_avg_benefit(setup):
-    h, scores = setup
+    h = setup
     us = UniversalSearch("seed")
     # 'tr:d' new = {7,9} avg (0.9+0.1)/2 = 0.5 → filtered (≤ 0.5).
     # 'tr:a' avg 0.9 passes and has the largest benefit.
-    assert us.select(h, set(), scores, asked=set()) == "tr:a"
+    assert us.select(h, asked=set()) == "tr:a"
 
 
-def test_universal_fallback_prefers_precision(setup):
-    h, _ = setup
+def test_universal_fallback_prefers_precision(toy_index):
     low = np.full(10, 0.3)
     low[7] = 0.45
     us = UniversalSearch("seed")
     # Nothing passes 0.5 → falls back to argmax (avg, benefit):
     # 'tr:c d' covers {7} only → avg 0.45, the maximum.
-    assert us.select(h, set(), low, asked=set()) == "tr:c d"
+    assert us.select(_hierarchy(toy_index, scores=low), asked=set()) == "tr:c d"
 
 
 def test_universal_respects_asked(setup):
-    h, scores = setup
+    h = setup
     us = UniversalSearch("seed")
-    first = us.select(h, set(), scores, asked=set())
-    second = us.select(h, set(), scores, asked={first})
+    first = us.select(h, asked=set())
+    second = us.select(h, asked={first})
     assert second != first
 
 
 def test_universal_none_when_exhausted(setup):
-    h, scores = setup
-    assert UniversalSearch("s").select(h, set(), scores, asked=set(h.nodes)) is None
+    h = setup
+    assert UniversalSearch("s").select(h, asked=set(h.nodes)) is None
 
 
 def test_hybrid_starts_universal(setup):
-    h, scores = setup
+    h = setup
     hs = HybridSearch("tr:a b", tau=2)
     assert hs.universal_mode
-    assert hs.select(h, set(), scores, asked=set()) == "tr:a"
+    assert hs.select(h, asked=set()) == "tr:a"
 
 
 def test_hybrid_switches_after_tau_failures(setup):
-    h, scores = setup
+    h = setup
     hs = HybridSearch("tr:a b", tau=2)
     for key in ("k1", "k2", "k3"):
         hs.feedback(key, False, h)
@@ -132,7 +132,7 @@ def test_hybrid_switches_after_tau_failures(setup):
 
 
 def test_hybrid_yes_resets_attempts(setup):
-    h, scores = setup
+    h = setup
     hs = HybridSearch("tr:a b", tau=2)
     hs.feedback("tr:a", False, h)
     hs.feedback("tr:a b", True, h)
@@ -140,10 +140,10 @@ def test_hybrid_yes_resets_attempts(setup):
     assert hs.universal_mode
 
 
-def test_hybrid_toggles_when_mode_exhausted(setup):
-    h, scores = setup
+def test_hybrid_toggles_when_mode_exhausted(toy_index):
+    h = _hierarchy(toy_index, {7})
     hs = HybridSearch("tr:a", tau=5)
-    got = hs.select(h, {7}, scores, asked=set(h.nodes))
+    got = hs.select(h, asked=set(h.nodes))
     # Universal pool empty → toggles to local, which refills from
     # P-overlap but everything is asked → None.
     assert got is None
@@ -151,20 +151,26 @@ def test_hybrid_toggles_when_mode_exhausted(setup):
 
 
 def test_highp_picks_expected_precision(setup):
-    h, scores = setup
+    h = setup
     hp = HighP("seed")
     # mean score over full coverage: 'tr:a'=0.9 (5×0.9);
     # 'tr:c d'={7}→0.9; tie broken lexicographically → 'tr:a'.
-    assert hp.select(h, set(), scores, asked=set()) == "tr:a"
+    assert hp.select(h, asked=set()) == "tr:a"
 
 
-def test_highc_ignores_scores_and_uses_whole_index(setup):
-    h, scores = setup
+def test_highp_reads_the_hierarchy_scores(toy_index):
+    scores = SCORES.copy()
+    scores[7] = 1.0  # 'tr:c d' = {7} now has the highest mean score
+    assert HighP("seed").select(_hierarchy(toy_index, scores=scores), asked=set()) == "tr:c d"
+
+
+def test_highc_ignores_scores_and_uses_whole_index(toy_index):
+    h = _hierarchy(toy_index, scores=np.zeros(10))
     hc = HighC("seed")
-    assert hc.select(h, set(), np.zeros(10), asked=set()) == "tr:a"  # count 5, lexical tie-break vs 'tr:b'
+    assert hc.select(h, asked=set()) == "tr:a"  # count 5, lexical tie-break vs 'tr:b'
     # Next by count: 'tr:a b' (3) — drawn from the whole index even if
     # a curated hierarchy were smaller.
-    assert hc.select(h, set(), np.zeros(10), asked={"tr:a", "tr:b"}) == "tr:a b"
+    assert hc.select(h, asked={"tr:a", "tr:b"}) == "tr:a b"
 
 
 def test_strategy_registry():
@@ -179,23 +185,28 @@ def test_scripted_classifier_counts_fits():
     assert np.allclose(sc.scores(np.array([1])), [0.9])
 
 
-def test_benefit_memo_only_for_the_hierarchy_mask(toy_index):
-    scores = np.linspace(0.1, 0.9, 10)
-    h = Hierarchy.build(toy_index, ["tr:a", "tr:b", "tr:c"], {0, 1})
-    assert benefit(h, "tr:a", h.mask, scores) == pytest.approx(scores[2:5].sum())
-    assert set(h.benefits) == {"tr:a"}
-    # Another P is computed, not memoized and not served from the memo.
-    assert benefit(h, "tr:a", {0, 1, 2}, scores) == pytest.approx(scores[3:5].sum())
-    assert benefit(h, "tr:b", {2}, scores) == pytest.approx(scores[[3, 4, 5, 6]].sum())
-    assert set(h.benefits) == {"tr:a"}
+def test_benefit_comes_from_the_hierarchy_scores(toy_index):
+    # Two hierarchies over one P that differ only in their scores: each
+    # benefit is computed from, and memoized on, its own hierarchy.
+    mask = toy_index.mask({0, 1})
+    s1 = np.linspace(0.1, 0.9, 10)
+    s2 = s1[::-1].copy()
+    h1 = Hierarchy.build(toy_index, ["tr:a", "tr:b"], mask, scores=s1)
+    h2 = Hierarchy.build(toy_index, ["tr:a", "tr:b"], mask, scores=s2)
+    for h, s in ((h1, s1), (h2, s2), (h1, s1)):
+        total, avg = h.benefit("tr:a")
+        assert total == pytest.approx(s[2:5].sum())
+        assert avg == pytest.approx(s[2:5].mean())
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_select_adds_no_attributes_to_hierarchy(toy_index, name):
     scores = np.linspace(0.1, 0.9, 10)
-    h = Hierarchy.build(toy_index, ["tr:a", "tr:b", "tr:a b", "tr:c", "tr:d"], {7})
+    h = Hierarchy.build(
+        toy_index, ["tr:a", "tr:b", "tr:a b", "tr:c", "tr:d"], toy_index.mask({7}), scores=scores
+    )
     before = set(vars(h))
     strat = STRATEGIES[name]("tr:c d")
-    strat.select(h, h.mask, scores, asked=set())
-    strat.select(h, h.mask, scores, asked={"tr:a", "tr:b"})
+    strat.select(h, asked=set())
+    strat.select(h, asked={"tr:a", "tr:b"})
     assert set(vars(h)) == before

@@ -65,7 +65,8 @@ def main() -> None:
         vocab = emb.hashing_embeddings((t for ts in token_lists for t in ts), dim=32)
     features = emb.combined_matrix(token_lists, vocab, 32)
     t_feat = time.time() - t0
-    print(f"[scale] features: {features.shape} in {t_feat:.1f}s")
+    print(f"[scale] features: {features.nbytes / 2**20:.1f} MiB "
+          f"(BoW ids {features.bow_ids.shape}, dense {features.dense.shape}) in {t_feat:.1f}s")
 
     from repro.core.classifier import EmbeddingClassifier
     from repro.grammar import tokensregex as tr

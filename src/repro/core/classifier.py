@@ -8,10 +8,20 @@ retrains in milliseconds, which the per-accept retrain loop (Alg 1
 line 10) requires, and generalizes semantically because the features
 are corpus-trained Word2Vec (DESIGN.md §2).
 
-The feature matrix is computed once (by Spark, see
-``repro.text.embeddings``) and indexed by sentence id; training samples
-random negatives from the unlabeled corpus exactly as §3.3 describes
-("sampling random instances from the corpus as negatives").
+The features are computed once (see ``repro.text.embeddings``) and
+indexed by sentence id; training samples random negatives from the
+unlabeled corpus exactly as §3.3 describes ("sampling random instances
+from the corpus as negatives").
+
+The features arrive as :class:`~repro.text.embeddings.Features`: per-row
+BoW bucket ids and values next to a dense embedding block. ``fit`` and
+``scores`` compute X·w and rᵀX in two parts, a gather plus
+``np.bincount`` over the BoW ids and a dense BLAS matvec over the
+embedding block, so each epoch costs O(nonzeros + m·dim), not m·288.
+This is the dense logistic regression with a different summation order
+(weights and scores agree to a few 1e-16). A plain 2-D array is taken as the embedding
+block with an empty BoW block, and for it the arithmetic is exactly the
+dense loop's.
 """
 from __future__ import annotations
 
@@ -19,27 +29,46 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from repro.text.embeddings import Features
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
 
 
-class EmbeddingClassifier:
-    """Logistic regression over a fixed (n_sentences × dim) feature matrix."""
+def _logits(w: np.ndarray, b: float, h: int, bow_ids: np.ndarray, bow_vals: np.ndarray,
+            dense: np.ndarray) -> np.ndarray:
+    """X·w + b; ``w[:h]`` are the BoW weights (sentinel included)."""
+    return dense @ w[h:] + np.einsum("ij,ij->i", w[:h].take(bow_ids), bow_vals) + b
 
-    def __init__(self, features: np.ndarray, *, l2: float = 1e-2,
+
+class EmbeddingClassifier:
+    """Logistic regression over fixed per-sentence features.
+
+    ``w`` holds ``hash_dim + 1 + dim`` weights: one per BoW bucket, one
+    for the padding sentinel (always 0), then the embedding block's.
+    """
+
+    def __init__(self, features: Features | np.ndarray, *, l2: float = 1e-2,
                  lr: float = 0.5, epochs: int = 200, seed: int = 0,
                  balance: bool = True, neg_ratio: float = 2.0):
         """``balance=True`` (search mode) weighs classes equally so the
         benefit scores are recall-oriented; ``balance=False`` with a
         larger ``neg_ratio`` (final-classifier mode) keeps the sampled
         prior so thresholding at 0.5 is precision-sane under imbalance."""
-        self.X = np.asarray(features, dtype=np.float64)
-        self.n, self.d = self.X.shape
+        if not isinstance(features, Features):
+            dense = np.asarray(features)
+            empty = np.empty((len(dense), 0))
+            features = Features(empty.astype(np.int32), empty, dense, 0)
+        self.bow_ids = features.bow_ids
+        self.bow_vals = np.asarray(features.bow_vals, dtype=np.float64)
+        self.dense = np.asarray(features.dense, dtype=np.float64)
+        self.hash_dim = features.hash_dim
+        self.n = len(self.dense)
         self.l2, self.lr, self.epochs = l2, lr, epochs
         self.balance, self.neg_ratio = balance, neg_ratio
         self._rng = np.random.default_rng(seed)
-        self.w = np.zeros(self.d)
+        self.w = np.zeros(self.hash_dim + 1 + self.dense.shape[1])
         self.b = 0.0
         self._fitted = False
 
@@ -48,17 +77,24 @@ class EmbeddingClassifier:
 
         Samples ``max(neg_ratio·|pos|, 50)`` ids uniformly from outside
         ``pos_ids`` — noisy but adequate under class imbalance, as in
-        the paper.
+        the paper. Repeated ids count once; ids outside ``[0, n)`` raise
+        a ``ValueError``.
         """
         pos = np.fromiter(pos_ids, dtype=np.int64)
         if len(pos) == 0:
             raise ValueError("cannot fit with zero positive instances")
+        bad = pos[(pos < 0) | (pos >= self.n)]
+        if len(bad):
+            raise ValueError(f"positive ids outside [0, {self.n}): {bad[:10].tolist()}")
+        is_pos = np.zeros(self.n, dtype=bool)
+        is_pos[pos] = True
+        if np.count_nonzero(is_pos) < len(pos):
+            _, first = np.unique(pos, return_index=True)
+            pos = pos[np.sort(first)]  # first occurrences, in the given order
         k = min(self.n - len(pos), max(int(self.neg_ratio * len(pos)), 50))
-        pool = np.setdiff1d(np.arange(self.n), pos, assume_unique=False)
-        neg = self._rng.choice(pool, size=k, replace=False)
+        neg = self._rng.choice(np.flatnonzero(~is_pos), size=k, replace=False)
         ids = np.concatenate([pos, neg])
         y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        X = self.X[ids]
         if self.balance and len(neg):
             # Balance classes through sample weights so imbalance in the
             # sampled negatives does not swamp the gradient. With no
@@ -68,25 +104,38 @@ class EmbeddingClassifier:
         else:
             sw = np.ones(len(ids))
 
-        w, b = np.zeros(self.d), 0.0
+        h = self.hash_dim + 1
+        # intp ids: take and bincount would convert int32 on every epoch.
+        bow_ids = self.bow_ids[ids].astype(np.intp)
+        bow_vals, dense = self.bow_vals[ids], self.dense[ids]
+        flat_ids = bow_ids.ravel()
+        w, b = np.zeros_like(self.w), 0.0
+        g = np.empty_like(w)
         for _ in range(self.epochs):
-            p = _sigmoid(X @ w + b)
-            g = (sw * (p - y)) @ X / len(ids) + self.l2 * w
-            gb = float(np.mean(sw * (p - y)))
+            p = _sigmoid(_logits(w, b, h, bow_ids, bow_vals, dense))
+            r = sw * (p - y)
+            # rᵀX in two parts; padding slots add 0 to the sentinel's bin.
+            g[:h] = np.bincount(flat_ids, weights=(r[:, None] * bow_vals).ravel(), minlength=h)
+            np.matmul(r, dense, out=g[h:])
+            g /= len(ids)
+            g += self.l2 * w
             w -= self.lr * g
-            b -= self.lr * gb
+            b -= self.lr * float(r.sum() / len(ids))  # np.mean(r), minus its overhead
         self.w, self.b, self._fitted = w, b, True
         return self
 
     def scores(self, ids: np.ndarray | None = None) -> np.ndarray:
         """P(positive) for every sentence (or the given ids)."""
-        X = self.X if ids is None else self.X[np.asarray(ids, dtype=np.int64)]
+        rows = (self.bow_ids, self.bow_vals, self.dense)
+        if ids is not None:
+            ids = np.asarray(ids, dtype=np.int64)
+            rows = tuple(a[ids] for a in rows)
         if not self._fitted:
             # Untrained classifier = uninformative prior 0.5 (better-than-
             # random kicks in only after the first fit), matching §3.8's
             # "initial iterations" regime.
-            return np.full(X.shape[0], 0.5)
-        return _sigmoid(X @ self.w + self.b)
+            return np.full(len(rows[2]), 0.5)
+        return _sigmoid(_logits(self.w, self.b, self.hash_dim + 1, *rows))
 
 
 class ScriptedClassifier:

@@ -30,13 +30,18 @@ def dedupe_rules(index: HeuristicIndex, rules: list[str]) -> list[str]:
     adds nothing to the union label but violates the label model's
     independence assumption badly enough to collapse its EM (tested in
     tests/test_label_model.py). Order-preserving; keeps the superset.
+    Coverages are compared as the index's sorted id arrays.
     """
-    covs = {r: index.coverage(r) for r in rules}
+    ids = {r: index.ids(r) for r in rules}
+
+    def strict_subset(a: np.ndarray, b: np.ndarray) -> bool:
+        return len(a) < len(b) and bool(np.isin(a, b, assume_unique=True).all())
+
     out: list[str] = []
     for r in rules:
-        if any(covs[r] < covs[o] for o in rules if o != r):
+        if any(strict_subset(ids[r], ids[o]) for o in rules if o != r):
             continue  # strictly contained in some other rule
-        if any(covs[r] == covs[o] for o in out):
+        if any(np.array_equal(ids[r], ids[o]) for o in out):
             continue  # duplicate coverage of an already-kept rule
         out.append(r)
     return out

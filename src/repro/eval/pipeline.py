@@ -4,7 +4,7 @@ features → ready-to-run Darwin inputs.
 This is the distributed-ETL part of the reproduction: corpus
 annotation, derivation-sketch explosion, inverted-index aggregation and
 embedding training all run as DataFrame transformations; the driver
-receives the thresholded index, the feature matrix and the ground
+receives the thresholded index, the sentence features and the ground
 truth needed to simulate the oracle.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ class Prepared:
     spec: CorpusSpec
     corpus_df: DataFrame
     index: HeuristicIndex
-    features: np.ndarray          # (n, dim) sentence vectors, sid-ordered
+    features: emb.Features        # BoW ids/values + embedding block, sid-ordered
     labels: np.ndarray            # ground truth, sid-ordered
     token_lists: list[list[str]]  # sid-ordered tokens (baselines, display)
     cfg: SketchConfig

@@ -16,16 +16,48 @@ Sentence features are computed on the driver by
 :func:`combined_matrix`: a hashed bag of words next to the sentence
 vector, the mean of its word vectors (zero for an empty/OOV sentence).
 Only Word2Vec training runs on Spark.
+
+The features are held as :class:`Features`, not as one dense matrix: a
+sentence fills at most a handful of the ``hash_dim`` BoW buckets, so the
+BoW block is kept as per-row bucket ids and values, next to the dense
+embedding block. :func:`hashed_bow` and :func:`sentence_vector` are the
+dense definitions of the two blocks.
 """
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
+from dataclasses import dataclass
+from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-from pyspark.sql import DataFrame
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 DEFAULT_DIM = 32
+
+
+@dataclass(frozen=True)
+class Features:
+    """Sentence features ``[hashed BoW ; mean word vector]``, sid-ordered.
+
+    Row ``i`` of the BoW block is nonzero exactly at the buckets
+    ``bow_ids[i]``, sorted and distinct, with the values ``bow_vals[i]``.
+    ``K`` is the largest bucket count of any row; a row with fewer
+    buckets is padded with the sentinel id ``hash_dim`` and value 0, so an
+    empty sentence is all sentinel.
+    """
+
+    bow_ids: np.ndarray   # (n, K) int32 bucket ids in [0, hash_dim]
+    bow_vals: np.ndarray  # (n, K) float32 values at those buckets
+    dense: np.ndarray     # (n, dim) float32 mean word vectors
+    hash_dim: int
+
+    @property
+    def nbytes(self) -> int:
+        return self.bow_ids.nbytes + self.bow_vals.nbytes + self.dense.nbytes
 
 
 def hashing_embeddings(words: Iterable[str], dim: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
@@ -75,29 +107,46 @@ def sentence_vector(tokens: list[str], emb: dict[str, np.ndarray], dim: int) -> 
     return np.mean(vs, axis=0).astype(np.float32)
 
 
+def _bucket(token: str, hash_dim: int) -> int:
+    return int.from_bytes(hashlib.sha256(token.encode()).digest()[:4], "big") % hash_dim
+
+
 def hashed_bow(tokens: list[str], hash_dim: int) -> np.ndarray:
-    """L2-ish normalized hashed binary bag-of-words (driver/executor safe)."""
+    """L2-normalized hashed binary bag-of-words: each distinct bucket
+    (colliding tokens count once) is 1/sqrt(#buckets)."""
     v = np.zeros(hash_dim, dtype=np.float32)
     for t in set(tokens):
-        h = int.from_bytes(hashlib.sha256(t.encode()).digest()[:4], "big")
-        v[h % hash_dim] = 1.0
+        v[_bucket(t, hash_dim)] = 1.0
     norm = np.linalg.norm(v)
     return v / norm if norm else v
 
 
 def combined_matrix(
     token_lists: list[list[str]], emb: dict[str, np.ndarray], dim: int, hash_dim: int = 256
-) -> np.ndarray:
-    """[hashed BoW ; mean word-vector] features.
+) -> Features:
+    """[hashed BoW ; mean word-vector] features, as :class:`Features`.
 
     The BoW block gives the classifier lexical precision (the Kim-CNN's
     n-gram filters play this role in the paper); the embedding block
     carries the semantic-generalization signal ('bus' → 'public
-    transport') that guides the benefit scores.
+    transport') that guides the benefit scores. Densified, row ``i`` is
+    exactly ``hashed_bow(ts) ; sentence_vector(ts)``.
     """
     n = len(token_lists)
-    out = np.zeros((n, hash_dim + dim), dtype=np.float32)
+    bucket = {t: _bucket(t, hash_dim) for t in set(chain.from_iterable(token_lists))}
+    # Sorted, so the order of a row's buckets (and with it the classifier's
+    # summation order) does not depend on string hashing.
+    rows = [sorted({bucket[t] for t in ts}) for ts in token_lists]
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    k = int(lens.max(initial=0))
+    filled = np.arange(k) < lens[:, None]
+    bow_ids = np.full((n, k), hash_dim, dtype=np.int32)
+    bow_ids[filled] = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(lens.sum()))
+    # hashed_bow's float32 value 1/‖v‖ with ‖v‖ = sqrt(#buckets).
+    val = np.float32(1) / np.sqrt(np.maximum(lens, 1).astype(np.float32))
+    bow_vals = np.zeros((n, k), dtype=np.float32)
+    bow_vals[filled] = np.repeat(val, lens)
+    dense = np.zeros((n, dim), dtype=np.float32)
     for i, ts in enumerate(token_lists):
-        out[i, :hash_dim] = hashed_bow(ts, hash_dim)
-        out[i, hash_dim:] = sentence_vector(ts, emb, dim)
-    return out
+        dense[i] = sentence_vector(ts, emb, dim)
+    return Features(bow_ids, bow_vals, dense, hash_dim)

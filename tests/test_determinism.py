@@ -1,8 +1,11 @@
 """Darwin's rules and history do not depend on Python's string hashing.
 
-The prepared directions corpus (index CSR arrays, features, labels) is
-dumped once; each session then runs in a fresh interpreter, without
-Spark, under PYTHONHASHSEED 0, 1 and 2.
+The prepared directions corpus (index CSR arrays, feature layout arrays,
+labels, token lists) is dumped once; each session then runs in a fresh
+interpreter, without Spark, under PYTHONHASHSEED 0, 1 and 2. Each
+interpreter rebuilds the BoW ids and values from the token lists, the
+part of the features that string hashing could reorder, and checks
+them against the dump before running on them.
 """
 import json
 import os
@@ -21,10 +24,15 @@ from repro.core.classifier import EmbeddingClassifier
 from repro.core.darwin import run_darwin
 from repro.core.oracle_sim import GroundTruthOracle
 from repro.index.inverted import HeuristicIndex
+from repro.text.embeddings import Features, combined_matrix
 
 d = sys.argv[1]
 keys = json.load(open(f"{d}/keys.json"))
 z = np.load(f"{d}/prep.npz")
+bow = combined_matrix(json.load(open(f"{d}/tokens.json")), {}, 0, int(z["hash_dim"]))
+assert np.array_equal(bow.bow_ids, z["bow_ids"]), "BoW ids depend on string hashing"
+assert np.array_equal(bow.bow_vals, z["bow_vals"])
+features = Features(bow.bow_ids, bow.bow_vals, z["dense"], bow.hash_dim)
 offsets, postings = z["offsets"], z["postings"]
 index = HeuristicIndex(
     {k: postings[offsets[r]:offsets[r + 1]] for r, k in enumerate(keys)}, int(z["n"])
@@ -38,7 +46,7 @@ runs = [
 ]
 out = []
 for strategy, seed in runs:
-    res = run_darwin(index, EmbeddingClassifier(z["features"]), GroundTruthOracle(labels),
+    res = run_darwin(index, EmbeddingClassifier(features), GroundTruthOracle(labels),
                      budget=40, strategy=strategy, true_labels=labels, **seed)
     out.append({"rules": res.rules, "history": res.history})
 print(json.dumps(out))
@@ -46,11 +54,12 @@ print(json.dumps(out))
 
 
 def test_rules_identical_across_hash_seeds(prep_directions, tmp_path):
-    index = prep_directions.index
+    index, f = prep_directions.index, prep_directions.features
     (tmp_path / "keys.json").write_text(json.dumps(index.keys()))
+    (tmp_path / "tokens.json").write_text(json.dumps(prep_directions.token_lists))
     np.savez(tmp_path / "prep.npz", offsets=index.offsets, postings=index.postings,
-             n=index.n_sentences, features=prep_directions.features,
-             labels=prep_directions.labels)
+             n=index.n_sentences, bow_ids=f.bow_ids, bow_vals=f.bow_vals, dense=f.dense,
+             hash_dim=f.hash_dim, labels=prep_directions.labels)
     procs = []
     for hash_seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))

@@ -5,6 +5,37 @@ import pytest
 from repro.text import embeddings as emb
 
 
+def densify(features):
+    """The (n × hash_dim+dim) float32 matrix the layout stands for."""
+    n, k = features.bow_ids.shape
+    X = np.zeros((n, features.hash_dim + 1 + features.dense.shape[1]), dtype=np.float32)
+    X[np.repeat(np.arange(n), k), features.bow_ids.ravel()] = features.bow_vals.ravel()
+    X[:, features.hash_dim + 1:] = features.dense
+    return np.delete(X, features.hash_dim, axis=1)  # the padding sentinel's column
+
+
+def _dense_combined_matrix(token_lists, e, dim, hash_dim=256):
+    """``combined_matrix`` before the sparse BoW layout, kept verbatim as
+    the reference."""
+    n = len(token_lists)
+    out = np.zeros((n, hash_dim + dim), dtype=np.float32)
+    for i, ts in enumerate(token_lists):
+        out[i, :hash_dim] = emb.hashed_bow(ts, hash_dim)
+        out[i, hash_dim:] = emb.sentence_vector(ts, e, dim)
+    return out
+
+
+# "c" and "j" share BoW bucket 3 of 256; "bus", "r" and "w" share 228.
+SENTENCES = [
+    ["take", "the", "bus", "to", "the", "airport"],
+    [],
+    ["c", "j", "bus", "r", "w"],
+    ["zzz-oov"],
+    ["the", "the", "the"],
+    [f"t{i}" for i in range(12)],
+]
+
+
 def test_hashing_deterministic():
     a = emb.hashing_embeddings(["cat", "dog"], dim=16)
     b = emb.hashing_embeddings(["dog", "cat"], dim=16)
@@ -34,11 +65,43 @@ def test_hashed_bow_normalized():
 
 
 def test_combined_matrix_blocks():
-    e = emb.hashing_embeddings(["a"], dim=8)
-    X = emb.combined_matrix([["a"]], e, 8, hash_dim=32)
-    assert X.shape == (1, 40)
-    assert np.linalg.norm(X[0, :32]) > 0
-    assert np.allclose(X[0, 32:], e["a"])
+    e = emb.hashing_embeddings(["a", "b"], dim=8)
+    sents = [["a"], ["b", "a", "oov"], []]
+    f = emb.combined_matrix(sents, e, 8, hash_dim=32)
+    X = densify(f)
+    assert X.shape == (3, 40)
+    for row, ts in zip(X, sents):
+        assert np.array_equal(row, np.concatenate([emb.hashed_bow(ts, 32),
+                                                   emb.sentence_vector(ts, e, 8)]))
+
+
+def test_layout_densifies_to_the_dense_matrix():
+    assert emb._bucket("c", 256) == emb._bucket("j", 256)
+    assert emb._bucket("bus", 256) == emb._bucket("r", 256) == emb._bucket("w", 256)
+    e = emb.hashing_embeddings(["take", "the", "bus", "to", "airport", "c", "t3"], dim=16)
+    f = emb.combined_matrix(SENTENCES, e, 16)
+    assert f.bow_ids.dtype == np.int32 and f.bow_vals.dtype == np.float32
+    assert f.bow_ids.shape == (len(SENTENCES), 12)  # K = the most buckets in a row
+    assert np.array_equal(densify(f), _dense_combined_matrix(SENTENCES, e, 16))
+
+
+def test_layout_rows_are_sorted_distinct_and_padded():
+    f = emb.combined_matrix(SENTENCES, {}, 4)
+    for ids, vals, ts in zip(f.bow_ids, f.bow_vals, SENTENCES):
+        used = ids[ids < f.hash_dim]
+        assert np.array_equal(used, np.unique([emb._bucket(t, 256) for t in ts]).astype(np.int32))
+        assert np.all(ids[len(used):] == f.hash_dim)  # sentinel padding after the buckets
+        assert np.all(vals[len(used):] == 0)
+        if len(used):
+            assert np.all(vals[:len(used)] == np.float32(1) / np.sqrt(np.float32(len(used))))
+    assert np.all(f.bow_ids[1] == f.hash_dim)  # the empty sentence: all sentinel
+    assert np.array_equal(f.bow_ids[2][:2], [3, 228])  # five tokens, two buckets
+    assert f.nbytes == f.bow_ids.nbytes + f.bow_vals.nbytes + f.dense.nbytes
+
+
+def test_combined_matrix_of_no_sentences():
+    f = emb.combined_matrix([], {}, 4)
+    assert f.bow_ids.shape == (0, 0) and f.dense.shape == (0, 4)
 
 
 def test_word2vec_trains_and_returns_vectors(spark):

@@ -3,9 +3,24 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.darwin import run_darwin
 from repro.core.labeling import apply_rules, dedupe_rules, label_matrix
+from repro.core.oracle_sim import GroundTruthOracle
 from repro.index.inverted import HeuristicIndex
 from repro.oracle import assert_equivalent
+
+
+def _dedupe_rules_on_sets(index, rules):
+    """``dedupe_rules`` on frozenset coverages, kept as the reference."""
+    covs = {r: index.coverage(r) for r in rules}
+    out = []
+    for r in rules:
+        if any(covs[r] < covs[o] for o in rules if o != r):
+            continue
+        if any(covs[r] == covs[o] for o in out):
+            continue
+        out.append(r)
+    return out
 
 
 def test_label_matrix_shape_and_content(toy_index):
@@ -35,6 +50,35 @@ def test_dedupe_drops_exact_duplicates():
     cov = {"tr:x": frozenset({1, 2}), "tr:y": frozenset({1, 2})}
     idx = HeuristicIndex(cov, 5)
     assert dedupe_rules(idx, ["tr:x", "tr:y"]) == ["tr:x"]
+
+
+def test_dedupe_matches_set_reference_on_toy_cases(toy_index):
+    cov = {"tr:x": {1, 2}, "tr:y": {1, 2}, "tr:z": {1, 2, 3}, "tr:w": {4}, "tr:v": set()}
+    idx = HeuristicIndex(cov, 5)
+    cases = [
+        ["tr:x", "tr:y"], ["tr:y", "tr:x", "tr:x"], ["tr:x", "tr:z", "tr:y"],
+        ["tr:z", "tr:x"], ["tr:w", "tr:v"], ["tr:v"], ["tr:v", "tr:v"], [],
+        ["tr:x", "tr:w", "tr:y", "tr:z", "tr:v", "tr:x"],
+    ]
+    for rules in cases:
+        assert dedupe_rules(idx, rules) == _dedupe_rules_on_sets(idx, rules), rules
+    for rules in (["tr:a", "tr:a b", "tr:b", "tr:c d", "tr:c", "tr:d"], ["tr:a b", "tr:a", "tr:a"]):
+        assert dedupe_rules(toy_index, rules) == _dedupe_rules_on_sets(toy_index, rules)
+
+
+def test_dedupe_matches_set_reference_on_accepted_rules(prep_directions):
+    prep = prep_directions
+    accepted = []
+    for strategy in ("hybrid", "local"):
+        res = run_darwin(prep.index, prep.make_classifier(), GroundTruthOracle(prep.labels),
+                         seed_rule=prep.seed_rule_key(), budget=60, strategy=strategy,
+                         true_labels=prep.labels)
+        accepted.append(res.rules)
+    accepted.append(accepted[0] + accepted[1])
+    accepted.append(accepted[2][::-1])
+    for rules in accepted:
+        assert len(rules) > 1
+        assert dedupe_rules(prep.index, rules) == _dedupe_rules_on_sets(prep.index, rules)
 
 
 def test_apply_rules_matches_index(spark, prep_directions):

@@ -10,19 +10,37 @@ The diversity constraint the paper mentions ("avoid having to evaluate
 many similar candidate heuristics") is realized by capping how many
 selected candidates may share an identical positive-overlap signature.
 
-Every key's overlap with P comes from one pass over the index's
-postings. A child's coverage is a subset of its parent's, so once a
-popped key overlaps P in nothing, so does every key popped after it:
-they all share the empty signature, and the walk stops as soon as that
-signature's cap is full.
+The walk is computed as one sort. A key's priority under P is
+(-|C ∩ P|, -|C|), and a child's coverage is a subset of its parent's:
+
+- a child with fewer sentences than its parent covers a strict subset,
+  so it ranks strictly below the parent for every P;
+- a child with as many sentences has the parent's coverage, so the two
+  tie for every P.
+
+So the walk pops every key it can reach, in priority order. For ties,
+call keys joined by same-coverage edges a group. For every P a group's
+keys enter the heap through the same keys (those with the root or a
+parent of larger coverage as a parent), and a pop exposes the same same-coverage children;
+among tied keys the walk pops the smallest key on any group's frontier,
+and a group's frontier changes only when one of its own keys pops. Two
+groups therefore interleave the same way whichever other groups share
+the tie. Under P = ∅ a tie holds every key of one count; under any P it
+holds the keys of one count and one overlap, a union of whole groups.
+The pop order for any P is thus the reachable keys sorted by
+(-overlap, -count, ``walk_rank``), where
+:attr:`~repro.index.inverted.HeuristicIndex.walk_rank` is the key's
+position in the walk for P = ∅ with no ``k`` and no cap.
+
+The caller keeps |C_k ∩ P| for every key up to date (one ``bincount``
+over the sentences a YES adds). Only keys overlapping P are sorted and
+have their signatures computed; the zero-overlap keys all share the
+empty signature, so at most the cap of them is taken, in walk order.
 """
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from repro.grammar.base import ROOT
 from repro.index.inverted import HeuristicIndex
 
 
@@ -32,42 +50,33 @@ def generate_candidates(
     k: int,
     *,
     max_duplicate_signature: int = 3,
+    overlaps: np.ndarray | None = None,
 ) -> list[str]:
     """Return up to ``k`` candidate heuristic keys (Algorithm 2) for P
-    given as a bool mask over sentences."""
-    overlaps = index.overlaps(mask).tolist()
-    counts = index.counts.tolist()
-    rows = index.rows
+    given as a bool mask over sentences. ``overlaps`` is |C_k ∩ P| for
+    every index row when the caller keeps it; otherwise it is computed."""
+    if overlaps is None:
+        overlaps = index.overlaps(mask)
+    walk = index.walk_order
+    walk_overlaps = overlaps[walk]
+    # Reachable keys overlapping P, in walk order; lexsort is stable, so
+    # walk_rank breaks the (-overlap, -count) ties.
+    hit = walk[walk_overlaps > 0]
+    hit = hit[np.lexsort((-index.counts[hit], -overlaps[hit]))]
+    key_of, postings, offsets = index.key, index.postings, index.offsets
     results: list[str] = []
-    recent = ROOT
-    seen: set[str] = {ROOT}
-    # Min-heap on (-overlap, -count, key): CoverageSort is overlap with
-    # P desc, then corpus coverage desc, then key asc (determinism).
-    # P is fixed for the duration of the call, so each candidate's
-    # priority is computed once, on insertion.
-    heap: list[tuple[int, int, str]] = []
     # Signature: the key's positive ids (sorted int32) as bytes.
     sig_count: dict[bytes, int] = {}
-
-    while len(results) < k:
-        for c in index.children(recent):
-            if c not in seen:
-                seen.add(c)
-                r = rows[c]
-                heapq.heappush(heap, (-overlaps[r], -counts[r], c))
-        if not heap:
-            break
-        neg_overlap, _, best = heapq.heappop(heap)
-        recent = best
-        if neg_overlap:
-            ids = index.ids(best)
-            sig = ids[mask[ids]].tobytes()
-        else:
-            sig = b""
-        if sig_count.get(sig, 0) >= max_duplicate_signature:
-            if not neg_overlap:
-                break  # no later pop overlaps P either (see module docstring)
+    for r in hit.tolist():
+        if len(results) >= k:
+            return results
+        ids = postings[offsets[r]:offsets[r + 1]]
+        sig = ids[mask[ids]].tobytes()
+        seen = sig_count.get(sig, 0)
+        if seen >= max_duplicate_signature:
             continue  # diversity cap: skip near-duplicate candidates
-        sig_count[sig] = sig_count.get(sig, 0) + 1
-        results.append(best)
+        sig_count[sig] = seen + 1
+        results.append(key_of(r))
+    n_zero = max(0, min(max_duplicate_signature, k - len(results)))
+    results.extend(key_of(r) for r in walk[walk_overlaps == 0][:n_zero].tolist())
     return results

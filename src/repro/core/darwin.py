@@ -76,9 +76,11 @@ def run_darwin(
                 f"seed_positive_ids {sorted(bad.tolist())} outside "
                 f"[0, {index.n_sentences})"
             )
-    # P, as a bool mask over sentences. A YES makes a new mask, so a
-    # hierarchy keeps the P it was built for.
+    # P, as a bool mask over sentences, and |C_k ∩ P| for every index
+    # row. A YES makes a new mask and new counts, so a hierarchy keeps
+    # the P it was built for.
     mask = index.mask(seed_ids)
+    overlaps = index.overlaps(mask)
     classifier.fit(np.flatnonzero(mask))
 
     strat = STRATEGIES[strategy](seed_rule or "*")
@@ -87,8 +89,9 @@ def run_darwin(
     asked: set[str] = set(rules)
     history: list[dict] = []
 
-    cands = generate_candidates(index, mask, K_CANDIDATES)
-    hierarchy = Hierarchy.build(index, cands, mask, scores=classifier.scores())
+    cands = generate_candidates(index, mask, K_CANDIDATES, overlaps=overlaps)
+    hierarchy = Hierarchy.build(index, cands, mask, scores=classifier.scores(),
+                                overlaps=overlaps)
     # Prime the strategy with the seed's (known-YES) verdict so
     # LocalSearch starts from the seed's neighborhood (Alg 3 line 3).
     if seed_rule is not None:
@@ -101,8 +104,9 @@ def run_darwin(
 
     for q in range(1, budget + 1):
         if stale:
-            cands = generate_candidates(index, mask, K_CANDIDATES)
-            hierarchy = Hierarchy.build(index, cands, mask, scores=classifier.scores())
+            cands = generate_candidates(index, mask, K_CANDIDATES, overlaps=overlaps)
+            hierarchy = Hierarchy.build(index, cands, mask, scores=classifier.scores(),
+                                        overlaps=overlaps)
             stale = False
         key = strat.select(hierarchy, asked)
         if key is None:
@@ -113,8 +117,10 @@ def run_darwin(
         strat.feedback(key, answer, hierarchy)
         if answer:
             rules.append(key)
+            new = ids[~mask[ids]]  # only the newly covered sentences
             mask = mask.copy()
-            mask[ids] = True
+            mask[new] = True
+            overlaps = overlaps + index.overlaps_of(new)
             classifier.fit(np.flatnonzero(mask))
             stale = True
         rec = {

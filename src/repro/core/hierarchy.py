@@ -1,11 +1,13 @@
 """Hierarchical arrangement of candidate heuristics + cleanup (§3.2).
 
 A :class:`Hierarchy` is the search loop's one view of the positive set
-P (a bool mask over sentences) and of the classifier scores trained on
-it; Darwin builds a new one whenever the oracle says YES. Nodes are the
-candidate keys that survive the cleanup pass, which drops heuristics
-whose coverage adds no new positives over P — "the traversal component
-will never query a heuristic that does not add any new positives".
+P (a bool mask over sentences, with |C_k ∩ P| for every index row) and
+of the classifier scores trained on it; Darwin builds a new one
+whenever the oracle says YES. Nodes are the candidate keys that survive
+the cleanup pass, which drops heuristics whose coverage adds no new
+positives over P — "the traversal component will never query a
+heuristic that does not add any new positives": a key is kept iff its
+overlap with P is below its count.
 
 Edges are not stored: a node's parents and children are its grammar
 parents and index children that are also nodes (§3.4: neighbours come
@@ -30,11 +32,14 @@ class Hierarchy:
         mask: np.ndarray,
         *,
         scores: np.ndarray,
+        overlaps: np.ndarray | None = None,
     ):
         self.index = index
         self.nodes: list[str] = list(nodes)
         self._node_set = set(self.nodes)
         self.mask = mask
+        # |C_k ∩ P| for every index row, computed when the caller keeps none.
+        self.overlaps = index.overlaps(mask) if overlaps is None else overlaps
         self.scores = scores
         # key → (benefit, avg benefit) under ``mask`` and ``scores``.
         self._benefits: dict[str, tuple[float, float]] = {}
@@ -47,11 +52,18 @@ class Hierarchy:
         mask: np.ndarray,
         *,
         scores: np.ndarray,
+        overlaps: np.ndarray | None = None,
     ) -> "Hierarchy":
-        """Arrange the candidates that add new positives (the cleanup):
-        a candidate whose overlap with P equals its count is dropped."""
-        kept = [c for c in candidates if not mask[index.ids(c)].all()]
-        return cls(kept, index, mask, scores=scores)
+        """Arrange the candidates (index keys) that add new positives
+        (the cleanup): a candidate whose overlap with P equals its count
+        is dropped."""
+        if overlaps is None:
+            overlaps = index.overlaps(mask)
+        rows = index.rows
+        r = np.fromiter((rows[c] for c in candidates), dtype=np.int64, count=len(candidates))
+        keep = (overlaps[r] < index.counts[r]).tolist()
+        kept = [c for c, ok in zip(candidates, keep) if ok]
+        return cls(kept, index, mask, scores=scores, overlaps=overlaps)
 
     def benefit(self, key: str) -> tuple[float, float]:
         """(benefit, average benefit) of ``key`` (§3.3): the sum and the
@@ -66,7 +78,8 @@ class Hierarchy:
 
     def overlapping(self) -> list[str]:
         """The nodes whose coverage meets P."""
-        return [k for k in self.nodes if self.mask[self.index.ids(k)].any()]
+        rows = self.index.rows
+        return [k for k in self.nodes if self.overlaps[rows[k]] > 0]
 
     def parents(self, key: str) -> list[str]:
         """Parents among the nodes; an off-hierarchy key gets the index's

@@ -12,9 +12,16 @@ Two layers:
    driver, stored as CSR postings: a ``key → row`` map, an ``int64``
    ``offsets`` array and one ``int32`` ``postings`` array holding each
    row's sorted sentence ids, plus a reverse-adjacency children map
-   derived from each grammar's ``parents_of``. The positive set P is
-   a bool mask over sentences; :meth:`HeuristicIndex.overlaps` gives
-   |C_k ∩ P| for every key in one pass. The interactive search loop
+   derived from each grammar's ``parents_of``. The same postings are
+   also held sentence-major, as a forward CSR (``sentence_offsets``,
+   ``sentence_rows``: the rows of the keys each sentence satisfies).
+   The positive set P is a bool mask over sentences;
+   :meth:`HeuristicIndex.overlaps_of` gives |C_k ∩ S| for every key by
+   one ``bincount`` over the forward rows of the sentences in S, so the
+   search loop keeps |C_k ∩ P| up to date by adding the counts of only
+   the sentences a YES newly covers. ``walk_order`` / ``walk_rank`` fix
+   Algorithm 2's tie order once per index (see
+   :mod:`repro.core.candidates`). The interactive search loop
    (Algorithms 2–5) navigates this structure; Spark is the machinery
    that produced it.
 
@@ -25,6 +32,7 @@ generation at 10K candidates per iteration, §D).
 """
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -69,7 +77,10 @@ class HeuristicIndex:
     """Driver-side index over (a thresholded slice of) all heuristics.
 
     ``HeuristicIndex({key: sentence ids}, n)`` builds it from a mapping;
-    :meth:`from_sketch` builds it from the Spark sketch.
+    :meth:`from_sketch` builds it from the Spark sketch. Sentence ids
+    outside ``[0, n)`` raise a ``ValueError``. Algorithm 2 relies on
+    every child's ids being a subset of its parent's, which holds for
+    every sketched index.
     """
 
     def __init__(self, coverage: Mapping[str, Iterable[int]], n_sentences: int):
@@ -82,18 +93,47 @@ class HeuristicIndex:
     def _init(
         self, keys: list[str], offsets: np.ndarray, postings: np.ndarray, n_sentences: int
     ) -> None:
+        _check_ids(postings, n_sentences)
         self.n_sentences = n_sentences
+        self._keys = keys
         self.rows: dict[str, int] = {key: r for r, key in enumerate(keys)}
         self.offsets = offsets
         self.postings = postings.astype(np.int32)
         self.postings.flags.writeable = False  # ids() hands out views
         self.counts = np.diff(offsets)
+        # Forward CSR, sid → rows of the keys it satisfies (rows ascending).
+        self.sentence_rows = _rows_by_sentence(self.postings, self.counts)
+        self.sentence_offsets = np.zeros(n_sentences + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.postings, minlength=n_sentences), out=self.sentence_offsets[1:])
         self._children: dict[str, list[str]] = {}
         for key in keys:
             for p in parents_of(key):
                 self._children.setdefault(p, []).append(key)
         for kids in self._children.values():
             kids.sort()  # determinism
+        self.walk_order = self._walk()
+        self.walk_rank = np.full(len(keys), -1, dtype=np.int32)
+        self.walk_rank[self.walk_order] = np.arange(len(self.walk_order), dtype=np.int32)
+
+    def _walk(self) -> np.ndarray:
+        """Rows in the order Algorithm 2's walk pops them for P = ∅ with
+        no ``k`` and no cap: best-first from the root on (-count, key),
+        each pop exposing the popped key's children. Keys the walk never
+        reaches are left out."""
+        rows, counts = self.rows, self.counts.tolist()
+        order: list[int] = []
+        seen = {ROOT}
+        heap: list[tuple[int, str]] = []
+        recent = ROOT
+        while True:
+            for c in self._children.get(recent, ()):
+                if c not in seen:
+                    seen.add(c)
+                    heapq.heappush(heap, (-counts[rows[c]], c))
+            if not heap:
+                return np.array(order, dtype=np.int64)
+            _, recent = heapq.heappop(heap)
+            order.append(rows[recent])
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -132,7 +172,10 @@ class HeuristicIndex:
         return len(self.rows)
 
     def keys(self) -> list[str]:
-        return list(self.rows)
+        return list(self._keys)
+
+    def key(self, row: int) -> str:
+        return self._keys[row]
 
     def ids(self, key: str) -> np.ndarray:
         """Sorted ``int32`` sentence ids matching ``key`` (a read-only view)."""
@@ -155,16 +198,25 @@ class HeuristicIndex:
 
     def mask(self, ids: Iterable[int]) -> np.ndarray:
         """The sentence ids ``ids`` as a bool mask over sentences."""
+        ids = np.fromiter(ids, dtype=np.int64)
+        _check_ids(ids, self.n_sentences)
         mask = np.zeros(self.n_sentences, dtype=bool)
-        mask[np.fromiter(ids, dtype=np.int64)] = True
+        mask[ids] = True
         return mask
 
     def overlaps(self, mask: np.ndarray) -> np.ndarray:
         """|C_k ∩ P| for every row k, for P given as a bool mask."""
-        out = np.zeros(len(self.counts), dtype=np.int64)
-        full = self.counts > 0  # reduceat would give an empty row one element
-        out[full] = np.add.reduceat(mask[self.postings], self.offsets[:-1][full], dtype=np.int64)
-        return out
+        return self.overlaps_of(np.flatnonzero(mask))
+
+    def overlaps_of(self, sids: np.ndarray) -> np.ndarray:
+        """|C_k ∩ S| for every row k, for S given as distinct sentence
+        ids: one ``bincount`` over the forward rows of those sentences."""
+        sids = np.asarray(sids)
+        starts = self.sentence_offsets[sids]
+        lens = self.sentence_offsets[sids + 1] - starts
+        # Positions of every forward row of S: each sentence's slice, concatenated.
+        pos = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        return np.bincount(self.sentence_rows[pos], minlength=len(self.counts))
 
     def children(self, key: str) -> list[str]:
         """Keys one derivation step stricter that exist in the corpus (O(1))."""
@@ -173,3 +225,26 @@ class HeuristicIndex:
     def parents(self, key: str) -> list[str]:
         """Keys one derivation step more general, restricted to the index."""
         return [p for p in parents_of(key) if p in self]
+
+
+def _rows_by_sentence(postings: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each posting's row, ordered by (sentence id, row): the distinct
+    pairs are sorted in place as ``sid · K + row``."""
+    k = max(len(counts), 1)
+    pairs = postings.astype(np.int64)
+    pairs *= k
+    pairs += np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    pairs.sort()
+    pairs %= k
+    return pairs.astype(np.int32)
+
+
+def _check_ids(ids: np.ndarray, n_sentences: int) -> None:
+    """Raise a ``ValueError`` naming the sentence ids outside ``[0, n)``."""
+    if not len(ids) or (ids.min() >= 0 and ids.max() < n_sentences):
+        return
+    bad = ids[(ids < 0) | (ids >= n_sentences)]
+    if len(bad):
+        raise ValueError(
+            f"sentence ids outside [0, {n_sentences}): {np.unique(bad)[:10].tolist()}"
+        )

@@ -147,3 +147,64 @@ def test_child_coverage_within_parent_treematch(prep_musicians_tm):
                 assert np.isin(idx.ids(key), idx.ids(p)).all(), (key, p)
                 checked += 1
     assert checked > 100
+
+
+def _pop_order(index, positives):
+    """Every key the reference walk pops for P, with no k and no cap."""
+    everything = len(index) + 1
+    return reference_generate_candidates(
+        SetIndex(index), positives, everything, max_duplicate_signature=everything
+    )
+
+
+def _sorted_by_walk_rank(index, positives):
+    """The reachable keys sorted by (-overlap, -count, walk_rank)."""
+    overlaps = index.overlaps(index.mask(positives))
+    reachable = [k for k in index.keys() if index.walk_rank[index.rows[k]] >= 0]
+    return sorted(reachable, key=lambda k: (-overlaps[index.rows[k]], -index.count(k),
+                                            index.walk_rank[index.rows[k]]))
+
+
+def test_walk_rank_breaks_ties_as_the_walk_does():
+    from repro.index.inverted import HeuristicIndex
+
+    # 'tr:a b' (a child of 'tr:b') has the coverage of 'tr:b' and 'tr:c':
+    # the walk reaches it only through 'tr:b', so it pops between them,
+    # where a plain key sort would put it first. 'tr:x y' has no parent
+    # in the index: the walk never reaches it.
+    idx = HeuristicIndex({"tr:b": [0, 1, 2], "tr:a b": [0, 1, 2], "tr:c": [0, 1, 2],
+                          "tr:d": [5], "tr:z": [3, 4], "tr:x y": [0, 3]}, n_sentences=6)
+    assert [idx.key(r) for r in idx.walk_order] == ["tr:b", "tr:a b", "tr:c", "tr:z", "tr:d"]
+    assert idx.walk_rank[idx.rows["tr:x y"]] == -1
+    for positives in (set(), {0}, {3}, {0, 3, 5}, set(range(6))):
+        want = _pop_order(idx, positives)
+        assert "tr:x y" not in want
+        assert _sorted_by_walk_rank(idx, positives) == want
+        mask = idx.mask(positives)
+        for k in (0, 1, 2, 3, 10):
+            for cap in (0, 1, 2, 3):
+                assert generate_candidates(idx, mask, k, max_duplicate_signature=cap) == \
+                    reference_generate_candidates(SetIndex(idx), positives, k,
+                                                  max_duplicate_signature=cap)
+    assert generate_candidates(idx, idx.mask({0}), 0) == []
+    assert generate_candidates(idx, idx.mask({0}), 10, max_duplicate_signature=0) == []
+    assert generate_candidates(idx, idx.mask({0}), 3) == ["tr:b", "tr:a b", "tr:c"]
+
+
+def test_walk_order_on_random_toy_indexes():
+    from tests.test_loop_properties import N_INDEXES, _toy_corpus
+
+    rng = np.random.default_rng(20240)
+    for i in range(N_INDEXES):
+        index, labels, _ = _toy_corpus(rng)
+        n = index.n_sentences
+        pick = np.random.default_rng(i)
+        for positives in (set(), set(np.flatnonzero(labels).tolist()),
+                          set(pick.choice(n, 3, replace=False).tolist()),
+                          set(pick.choice(n, n // 2, replace=False).tolist())):
+            assert _sorted_by_walk_rank(index, positives) == _pop_order(index, positives), i
+            mask = index.mask(positives)
+            for k, cap in ((5, 3), (40, 1), (500, 3)):
+                assert generate_candidates(index, mask, k, max_duplicate_signature=cap) == \
+                    reference_generate_candidates(SetIndex(index), positives, k,
+                                                  max_duplicate_signature=cap), (i, k, cap)

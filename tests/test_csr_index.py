@@ -56,3 +56,31 @@ def test_empty_index():
     assert generate_candidates(idx, idx.mask({1}), 10) == []
     assert Hierarchy.build(idx, [], idx.mask({1}), scores=np.full(4, 0.5)).nodes == []
     assert idx.coverage(ROOT) == frozenset(range(4))
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_ids_outside_the_corpus_rejected(bad):
+    # At n = 3, -1 used to act as sentence 2 and 3 to fail inside numpy.
+    with pytest.raises(ValueError, match=rf"outside \[0, 3\): \[{bad}\]"):
+        HeuristicIndex({"tr:a": [bad, 0]}, n_sentences=3)
+    idx = HeuristicIndex({"tr:a": [0, 1]}, n_sentences=3)
+    with pytest.raises(ValueError, match=rf"outside \[0, 3\): \[{bad}\]"):
+        idx.mask([2, bad])
+
+
+def test_forward_csr_is_the_transposed_postings(toy_index):
+    idx = toy_index
+    for sid in range(idx.n_sentences):
+        rows = idx.sentence_rows[idx.sentence_offsets[sid]:idx.sentence_offsets[sid + 1]]
+        want = [r for r, key in enumerate(idx.keys()) if sid in idx.coverage(key)]
+        assert rows.tolist() == want, sid
+    assert idx.sentence_offsets[-1] == len(idx.postings) == len(idx.sentence_rows)
+
+
+def test_overlaps_of_sums_over_sentences(toy_index):
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        sids = rng.permutation(10)[: rng.integers(0, 11)]
+        want = [len(toy_index.coverage(k) & set(sids.tolist())) for k in toy_index.keys()]
+        assert toy_index.overlaps_of(sids).tolist() == want
+    assert toy_index.overlaps_of(np.empty(0, dtype=np.int64)).tolist() == [0] * len(toy_index)

@@ -71,3 +71,52 @@ def test_session_invariants(corpora, strategy, seed_kind):
         curve = [r for _, r in res.recall_curve()]
         assert len(curve) == len(res.history)
         assert all(a <= b for a, b in zip(curve, curve[1:])), (i, curve)
+
+
+@pytest.fixture()
+def kept_overlaps_checked(monkeypatch):
+    """Check, at every candidate generation of ``run_darwin``, that the
+    overlap counts the loop keeps equal a recount from P's mask; return
+    the list of |P| at each check."""
+    from repro.core import darwin
+
+    checked: list[int] = []
+    generate = darwin.generate_candidates
+
+    def check(index, mask, k, **kwargs):
+        np.testing.assert_array_equal(kwargs["overlaps"], index.overlaps(mask))
+        checked.append(int(mask.sum()))
+        return generate(index, mask, k, **kwargs)
+
+    monkeypatch.setattr(darwin, "generate_candidates", check)
+    return checked
+
+
+def _assert_checked_after_every_yes(checked, res):
+    # One check before the first query, one after every YES that is
+    # followed by another query.
+    assert len(checked) >= 1 + sum(h["answer"] for h in res.history[:-1])
+
+
+@pytest.mark.parametrize("seed_kind", ["rule", "ids"])
+def test_kept_overlaps_match_recount(corpora, kept_overlaps_checked, seed_kind):
+    grew = 0
+    for i, (index, labels, features) in enumerate(corpora):
+        if seed_kind == "rule":
+            kw = {"seed_rule": min(index.keys(), key=lambda k: (-index.count(k), k))}
+        else:
+            kw = {"seed_positive_ids": set(np.flatnonzero(labels)[:2].tolist())}
+        kept_overlaps_checked.clear()
+        res = run_darwin(index, EmbeddingClassifier(features, seed=i, epochs=50),
+                         GroundTruthOracle(labels), budget=BUDGET, strategy="hybrid", **kw)
+        _assert_checked_after_every_yes(kept_overlaps_checked, res)
+        grew += len(set(kept_overlaps_checked)) > 1
+    assert grew > N_INDEXES // 2  # most sessions checked more than one P
+
+
+def test_kept_overlaps_match_recount_on_directions(prep_directions, kept_overlaps_checked):
+    p = prep_directions
+    res = run_darwin(p.index, p.make_classifier(), GroundTruthOracle(p.labels),
+                     seed_rule=p.seed_rule_key(), budget=40, strategy="hybrid")
+    _assert_checked_after_every_yes(kept_overlaps_checked, res)
+    assert len(set(kept_overlaps_checked)) >= 5

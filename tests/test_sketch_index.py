@@ -113,7 +113,8 @@ def test_parent_coverage_superset_in_index(small_sketch):
 
 
 def test_index_independent_of_shuffle_partitions(spark, small_sketch):
-    """Same keys() order, offsets and ids at 4 and 64 shuffle partitions."""
+    """Same keys() order, offsets, ids, forward CSR and walk rank at 4
+    and 64 shuffle partitions."""
     before = spark.conf.get("spark.sql.shuffle.partitions")
     built = []
     try:
@@ -126,6 +127,10 @@ def test_index_independent_of_shuffle_partitions(spark, small_sketch):
     assert a.keys() == b.keys() == sorted(a.keys())
     np.testing.assert_array_equal(a.offsets, b.offsets)
     np.testing.assert_array_equal(a.postings, b.postings)
+    np.testing.assert_array_equal(a.sentence_offsets, b.sentence_offsets)
+    np.testing.assert_array_equal(a.sentence_rows, b.sentence_rows)
+    np.testing.assert_array_equal(a.walk_rank, b.walk_rank)
+    assert (a.walk_rank >= 0).all()  # every key of a sketched index is reachable
     for key in a.keys():
         assert (np.diff(a.ids(key)) > 0).all(), key
 

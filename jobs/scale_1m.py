@@ -64,9 +64,11 @@ def main() -> None:
     else:
         vocab = emb.hashing_embeddings((t for ts in token_lists for t in ts), dim=32)
     features = emb.combined_matrix(token_lists, vocab, 32)
+    n_rows = len(features.distinct[0])  # the classifier fits over these rows
     t_feat = time.time() - t0
     print(f"[scale] features: {features.nbytes / 2**20:.1f} MiB "
-          f"(BoW ids {features.bow_ids.shape}, dense {features.dense.shape}) in {t_feat:.1f}s")
+          f"(BoW ids {features.bow_ids.shape}, dense {features.dense.shape}), "
+          f"{n_rows} distinct feature rows in {t_feat:.1f}s")
 
     from repro.core.classifier import EmbeddingClassifier
     from repro.grammar import tokensregex as tr

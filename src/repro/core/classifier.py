@@ -22,6 +22,22 @@ This is the dense logistic regression with a different summation order
 (weights and scores agree to a few 1e-16). A plain 2-D array is taken as the embedding
 block with an empty BoW block, and for it the arithmetic is exactly the
 dense loop's.
+
+Many sentences share a feature row (directions: 845 distinct rows for
+15,300 sentences), so the classifier keeps float64 copies of the
+distinct rows only (``Features.distinct``: grouped on the bytes of the
+layout arrays, never on tokens, since a mean word vector depends on
+summation order). In the weighted loss, c training rows that are bit-
+identical and share a label and sample weight sw contribute c equal
+terms to every gradient; one row of weight c·sw contributes the same
+sum. ``fit`` therefore draws the training set as before and merges it
+by (feature row, label), in order of first appearance, keeping the
+divisor m = |training set|. Only rounding changes (one product c·sw
+where the loop added c terms, in another order), so weights and scores
+stay within a few 1e-16 of the per-sentence loop. A training set with
+no repeated row runs the same arithmetic, bit for bit. ``scores``
+computes one sigmoid per distinct row and gathers it back to the
+sentences, so bit-identical rows score identically.
 """
 from __future__ import annotations
 
@@ -60,11 +76,15 @@ class EmbeddingClassifier:
             dense = np.asarray(features)
             empty = np.empty((len(dense), 0))
             features = Features(empty.astype(np.int32), empty, dense, 0)
-        self.bow_ids = features.bow_ids
-        self.bow_vals = np.asarray(features.bow_vals, dtype=np.float64)
-        self.dense = np.asarray(features.dense, dtype=np.float64)
+        # float64 copies of the distinct feature rows only; sentence i has
+        # row self.row[i]. intp ids: take and bincount would convert int32
+        # on every epoch.
+        first, self.row = features.distinct
+        self.bow_ids = features.bow_ids[first].astype(np.intp)
+        self.bow_vals = np.asarray(features.bow_vals[first], dtype=np.float64)
+        self.dense = np.asarray(features.dense[first], dtype=np.float64)
         self.hash_dim = features.hash_dim
-        self.n = len(self.dense)
+        self.n = len(self.row)
         self.l2, self.lr, self.epochs = l2, lr, epochs
         self.balance, self.neg_ratio = balance, neg_ratio
         self._rng = np.random.default_rng(seed)
@@ -72,20 +92,24 @@ class EmbeddingClassifier:
         self.b = 0.0
         self._fitted = False
 
-    def fit(self, pos_ids: Iterable[int]) -> "EmbeddingClassifier":
-        """Train on discovered positives vs sampled negatives.
+    def _in_corpus(self, ids: np.ndarray, what: str) -> np.ndarray:
+        bad = ids[(ids < 0) | (ids >= self.n)]
+        if len(bad):
+            raise ValueError(f"{what} outside [0, {self.n}): {bad[:10].tolist()}")
+        return ids
 
-        Samples ``max(neg_ratio·|pos|, 50)`` ids uniformly from outside
-        ``pos_ids`` — noisy but adequate under class imbalance, as in
-        the paper. Repeated ids count once; ids outside ``[0, n)`` raise
-        a ``ValueError``.
+    def _training_set(
+        self, pos_ids: Iterable[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Draw one fit's training set: ``(rows, y, sw, m)``.
+
+        The ``m`` sentences (positives, then sampled negatives) are merged
+        by (feature row, label), in order of first appearance; ``sw`` is
+        the merged row's sample weight, count·(its class weight).
         """
-        pos = np.fromiter(pos_ids, dtype=np.int64)
+        pos = self._in_corpus(np.fromiter(pos_ids, dtype=np.int64), "positive ids")
         if len(pos) == 0:
             raise ValueError("cannot fit with zero positive instances")
-        bad = pos[(pos < 0) | (pos >= self.n)]
-        if len(bad):
-            raise ValueError(f"positive ids outside [0, {self.n}): {bad[:10].tolist()}")
         is_pos = np.zeros(self.n, dtype=bool)
         is_pos[pos] = True
         if np.count_nonzero(is_pos) < len(pos):
@@ -103,11 +127,23 @@ class EmbeddingClassifier:
             sw = np.where(y == 1, w_pos, w_neg)
         else:
             sw = np.ones(len(ids))
+        rows = self.row[ids]
+        _, at, count = np.unique(2 * rows + (y == 0), return_index=True, return_counts=True)
+        order = np.argsort(at)
+        at = at[order]
+        return rows[at], y[at], count[order] * sw[at], len(ids)
 
+    def fit(self, pos_ids: Iterable[int]) -> "EmbeddingClassifier":
+        """Train on discovered positives vs sampled negatives.
+
+        Samples ``max(neg_ratio·|pos|, 50)`` ids uniformly from outside
+        ``pos_ids`` — noisy but adequate under class imbalance, as in
+        the paper. Repeated ids count once; ids outside ``[0, n)`` raise
+        a ``ValueError``.
+        """
+        rows, y, sw, m = self._training_set(pos_ids)
         h = self.hash_dim + 1
-        # intp ids: take and bincount would convert int32 on every epoch.
-        bow_ids = self.bow_ids[ids].astype(np.intp)
-        bow_vals, dense = self.bow_vals[ids], self.dense[ids]
+        bow_ids, bow_vals, dense = self.bow_ids[rows], self.bow_vals[rows], self.dense[rows]
         flat_ids = bow_ids.ravel()
         w, b = np.zeros_like(self.w), 0.0
         g = np.empty_like(w)
@@ -117,25 +153,27 @@ class EmbeddingClassifier:
             # rᵀX in two parts; padding slots add 0 to the sentinel's bin.
             g[:h] = np.bincount(flat_ids, weights=(r[:, None] * bow_vals).ravel(), minlength=h)
             np.matmul(r, dense, out=g[h:])
-            g /= len(ids)
+            g /= m
             g += self.l2 * w
             w -= self.lr * g
-            b -= self.lr * float(r.sum() / len(ids))  # np.mean(r), minus its overhead
+            b -= self.lr * float(r.sum() / m)  # np.mean(r) over the m sentences
         self.w, self.b, self._fitted = w, b, True
         return self
 
     def scores(self, ids: np.ndarray | None = None) -> np.ndarray:
-        """P(positive) for every sentence (or the given ids)."""
-        rows = (self.bow_ids, self.bow_vals, self.dense)
+        """P(positive) for every sentence (or the given ids, which must
+        lie in ``[0, n)``), computed once per distinct feature row."""
+        row = self.row
         if ids is not None:
-            ids = np.asarray(ids, dtype=np.int64)
-            rows = tuple(a[ids] for a in rows)
+            row = row[self._in_corpus(np.asarray(ids, dtype=np.int64), "ids")]
         if not self._fitted:
             # Untrained classifier = uninformative prior 0.5 (better-than-
             # random kicks in only after the first fit), matching §3.8's
             # "initial iterations" regime.
-            return np.full(len(rows[2]), 0.5)
-        return _sigmoid(_logits(self.w, self.b, self.hash_dim + 1, *rows))
+            return np.full(len(row), 0.5)
+        logits = _logits(self.w, self.b, self.hash_dim + 1, self.bow_ids, self.bow_vals,
+                         self.dense)
+        return _sigmoid(logits)[row]
 
 
 class ScriptedClassifier:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -58,6 +59,26 @@ class Features:
     @property
     def nbytes(self) -> int:
         return self.bow_ids.nbytes + self.bow_vals.nbytes + self.dense.nbytes
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, row)``: the distinct feature rows, in order of first
+        appearance. ``first[g]`` is the first sentence with row ``g``
+        (ascending) and ``row[i]`` is sentence ``i``'s row.
+
+        Two sentences share a row iff their ``bow_ids``, ``bow_vals`` and
+        ``dense`` bytes are identical, so the row's values are exactly
+        each sentence's. Computed once, on first use.
+        """
+        n = len(self.dense)
+        raw = np.hstack([np.ascontiguousarray(a).view(np.uint8)
+                         for a in (self.bow_ids, self.bow_vals, self.dense)])
+        if raw.shape[1] == 0:  # no columns: every row is the empty row
+            return np.arange(min(n, 1)), np.zeros(n, dtype=np.intp)
+        _, at, inverse = np.unique(raw.view(f"V{raw.shape[1]}").ravel(),
+                                   return_index=True, return_inverse=True)
+        order = np.argsort(at)  # byte order -> first-appearance order
+        return at[order], np.argsort(order)[inverse]
 
 
 def hashing_embeddings(words: Iterable[str], dim: int = DEFAULT_DIM) -> dict[str, np.ndarray]:

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.classifier import EmbeddingClassifier, _sigmoid
+from repro.core.classifier import EmbeddingClassifier, _logits, _sigmoid
+from repro.text.embeddings import Features
 from tests.test_embeddings import densify
 
 # The layout sums X·w and rᵀX in another order than the dense loop. In
@@ -42,6 +43,46 @@ def _reference_fit(X, pos_ids, *, l2=1e-2, lr=0.5, epochs=200, seed=0,
         w -= lr * g
         b -= lr * gb
     return w, b, _sigmoid(X @ w + b)
+
+
+def _ungrouped_fit(features, pos_ids, *, l2=1e-2, lr=0.5, epochs=200, seed=0,
+                   balance=True, neg_ratio=2.0):
+    """The sparse-layout fit over every training sentence, before bit-identical
+    feature rows were merged, kept verbatim as the reference: returns (w, b,
+    scores of every row, the training ids)."""
+    all_ids = features.bow_ids.astype(np.intp)
+    all_vals = np.asarray(features.bow_vals, dtype=np.float64)
+    all_dense = np.asarray(features.dense, dtype=np.float64)
+    n = len(all_dense)
+    rng = np.random.default_rng(seed)
+    pos = np.fromiter(pos_ids, dtype=np.int64)
+    is_pos = np.zeros(n, dtype=bool)
+    is_pos[pos] = True
+    k = min(n - len(pos), max(int(neg_ratio * len(pos)), 50))
+    neg = rng.choice(np.flatnonzero(~is_pos), size=k, replace=False)
+    ids = np.concatenate([pos, neg])
+    y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+    if balance and len(neg):
+        w_pos, w_neg = len(ids) / (2 * len(pos)), len(ids) / (2 * len(neg))
+        sw = np.where(y == 1, w_pos, w_neg)
+    else:
+        sw = np.ones(len(ids))
+
+    h = features.hash_dim + 1
+    bow_ids, bow_vals, dense = all_ids[ids], all_vals[ids], all_dense[ids]
+    flat_ids = bow_ids.ravel()
+    w, b = np.zeros(h + all_dense.shape[1]), 0.0
+    g = np.empty_like(w)
+    for _ in range(epochs):
+        p = _sigmoid(_logits(w, b, h, bow_ids, bow_vals, dense))
+        r = sw * (p - y)
+        g[:h] = np.bincount(flat_ids, weights=(r[:, None] * bow_vals).ravel(), minlength=h)
+        np.matmul(r, dense, out=g[h:])
+        g /= len(ids)
+        g += l2 * w
+        w -= lr * g
+        b -= lr * float(r.sum() / len(ids))
+    return w, b, _sigmoid(_logits(w, b, h, all_ids, all_vals, all_dense)), ids
 
 
 def _dense_weights(clf):
@@ -166,3 +207,131 @@ def test_layout_matches_dense_reference(prep_directions):
         assert abs(clf.b - b) <= LAYOUT_TOL
         assert np.abs(clf.scores() - s).max() <= LAYOUT_TOL
         assert clf.w[clf.hash_dim] == 0.0  # the padding sentinel never trains
+
+
+def test_scores_reject_ids_outside_the_corpus():
+    X, y = _separable(n=20)
+    unfitted = EmbeddingClassifier(X)
+    fitted = EmbeddingClassifier(X).fit(np.flatnonzero(y).tolist())
+    for clf in (unfitted, fitted):
+        for bad in ([-1], [3, 20], [25]):
+            with pytest.raises(ValueError, match=re.escape(f"): [{bad[-1]}]")):
+                clf.scores(bad)
+
+
+def _hand_built(patterns):
+    """Features whose sentence i has the feature row ``patterns[i]`` of four
+    distinct hand-picked rows (hash_dim 8, K = 2, dim 3)."""
+    ids = np.array([[0, 3], [1, 8], [0, 3], [8, 8]], dtype=np.int32)
+    vals = np.array([[0.6, 0.8], [1.0, 0.0], [0.6, 0.8], [0.0, 0.0]], dtype=np.float32)
+    dense = np.array([[0.5, -1.0, 0.25], [0.0, 2.0, 1.0], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]],
+                     dtype=np.float32)
+    p = np.asarray(patterns)
+    return Features(ids[p], vals[p], dense[p], 8)
+
+
+def _expected_groups(features, ids, n_pos):
+    """(row, label) -> training ids, in order of first appearance."""
+    row = features.distinct[1]
+    groups = {}
+    for j, i in enumerate(ids):
+        groups.setdefault((int(row[i]), int(j < n_pos)), []).append(int(i))
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_row_in_both_classes_stays_two_groups(seed):
+    """Sentences 0, 1 (positive) and 4, 5, 10 (negative) share one feature
+    row: the training set holds it once per label, weighted by its count."""
+    f = _hand_built([0, 0, 1, 2, 0, 0, 3, 1, 2, 3, 0, 1])
+    first, row = f.distinct
+    assert first.tolist() == [0, 2, 3, 6] and row.tolist() == [0, 0, 1, 2, 0, 0, 3, 1, 2, 3, 0, 1]
+    pos = [0, 1, 2]
+    # All nine other sentences are drawn as negatives.
+    w, b, s, ids = _ungrouped_fit(f, pos, seed=seed)
+    assert sorted(ids[3:].tolist()) == [3, 4, 5, 6, 7, 8, 9, 10, 11]
+    groups = _expected_groups(f, ids, len(pos))
+    assert len(groups) == 6 and (0, 1) in groups and (0, 0) in groups
+
+    rows, y, sw, m = EmbeddingClassifier(f, seed=seed)._training_set(pos)
+    assert m == 12
+    assert list(zip(rows.tolist(), y.astype(int).tolist())) == list(groups)
+    w_pos, w_neg = 12 / 6, 12 / 18
+    assert sw.tolist() == [len(v) * (w_pos if lab else w_neg) for (_, lab), v in groups.items()]
+
+    clf = EmbeddingClassifier(f, seed=seed).fit(pos)
+    assert np.abs(_dense_weights(clf) - np.delete(w, 8)).max() <= LAYOUT_TOL
+    assert abs(clf.b - b) <= LAYOUT_TOL
+    assert np.abs(clf.scores() - s).max() <= LAYOUT_TOL
+
+
+def test_rows_group_on_bytes_only():
+    """Rows 0 and 2 of ``_hand_built`` differ only in one dense value; a
+    one-ulp change makes a new row, and bit-identical rows score the same."""
+    f = _hand_built([0, 2, 0, 3, 2, 0])
+    dense = f.dense.copy()
+    dense[5, 0] = np.nextafter(dense[5, 0], np.float32(1))
+    f = Features(f.bow_ids, f.bow_vals, dense, f.hash_dim)
+    first, row = f.distinct
+    assert first.tolist() == [0, 1, 3, 5] and row.tolist() == [0, 1, 0, 2, 1, 3]
+    s = EmbeddingClassifier(f, seed=1).fit([0, 3]).scores()
+    assert s[0] == s[2] and s[1] == s[4]
+
+
+def test_degenerate_features():
+    empty = Features(np.empty((0, 2), np.int32), np.empty((0, 2), np.float32),
+                     np.empty((0, 3), np.float32), 8)
+    assert [a.tolist() for a in empty.distinct] == [[], []]
+    clf = EmbeddingClassifier(empty)
+    assert clf.scores().shape == (0,)
+    with pytest.raises(ValueError, match="zero positive"):
+        clf.fit([])
+    with pytest.raises(ValueError, match=re.escape("[0, 0): [0]")):
+        clf.fit([0])
+
+    # No columns at all: every sentence has the one (empty) row.
+    blank = EmbeddingClassifier(np.zeros((6, 0)))
+    assert blank.row.tolist() == [0] * 6
+    s = blank.fit([1]).scores()
+    assert len(s) == 6 and len(set(s.tolist())) == 1
+
+    # A plain matrix (K = 0) with repeated rows: the dense loop's result.
+    X, y = _separable(n=40)
+    X = np.concatenate([X, X[::2]])
+    pos = np.flatnonzero(np.concatenate([y, y[::2]]))
+    w, b, s = _reference_fit(X, pos.tolist(), seed=3)
+    clf = EmbeddingClassifier(X, seed=3).fit(pos.tolist())
+    assert len(clf.dense) == 40
+    assert np.abs(_dense_weights(clf) - w).max() <= LAYOUT_TOL and abs(clf.b - b) <= LAYOUT_TOL
+    assert np.abs(clf.scores() - s).max() <= LAYOUT_TOL
+
+
+def test_distinct_rows_are_the_bitwise_distinct_rows(prep_directions):
+    f = prep_directions.features
+    first, row = f.distinct
+    seen = {}
+    expected = [seen.setdefault(f.bow_ids[i].tobytes() + f.bow_vals[i].tobytes()
+                                + f.dense[i].tobytes(), len(seen))
+                for i in range(len(f.dense))]
+    assert row.tolist() == expected and len(first) == len(seen)
+    assert np.array_equal(row[first], np.arange(len(first)))
+    assert f.distinct is f.distinct  # computed once per Features
+
+
+def test_grouped_fit_matches_ungrouped_reference(prep_directions):
+    prep = prep_directions
+    f = prep.features
+    true_pos = np.flatnonzero(prep.labels)
+    for pos in (prep.index.ids(prep.seed_rule_key()), true_pos[:300], true_pos):
+        w, b, s, ids = _ungrouped_fit(f, pos.tolist(), seed=11)
+        groups = _expected_groups(f, ids, len(pos))
+        assert len(groups) < len(ids)  # the training set does collapse
+        rows, y, _, m = prep.make_classifier(seed=11)._training_set(pos.tolist())
+        assert m == len(ids)
+        assert list(zip(rows.tolist(), y.astype(int).tolist())) == list(groups)
+        clf = prep.make_classifier(seed=11).fit(pos.tolist())
+        assert np.abs(clf.w - w).max() <= LAYOUT_TOL
+        assert abs(clf.b - b) <= LAYOUT_TOL
+        s_clf = clf.scores()
+        assert np.abs(s_clf - s).max() <= LAYOUT_TOL
+        assert np.array_equal(s_clf, s_clf[f.distinct[0]][f.distinct[1]])

@@ -8,7 +8,8 @@ the whole corpus with the distributed rule-application path.
 Usage: spark-submit jobs/scale_1m.py [--n 1000000] [--budget 100]
 
 The paper reports: index build < 5 min, full pipeline < 3 h on 1M
-sentences (64 cores / 500 GB); we run on local[*] with ~16 cores.
+sentences (64 cores / 500 GB); we run on local[*], sized by
+``repro.spark`` to the machine it runs on.
 """
 from __future__ import annotations
 
@@ -64,11 +65,10 @@ def main() -> None:
     else:
         vocab = emb.hashing_embeddings((t for ts in token_lists for t in ts), dim=32)
     features = emb.combined_matrix(token_lists, vocab, 32)
-    n_rows = len(features.distinct[0])  # the classifier fits over these rows
     t_feat = time.time() - t0
     print(f"[scale] features: {features.nbytes / 2**20:.1f} MiB "
           f"(BoW ids {features.bow_ids.shape}, dense {features.dense.shape}), "
-          f"{n_rows} distinct feature rows in {t_feat:.1f}s")
+          f"{len(features.dense)} distinct feature rows in {t_feat:.1f}s")
 
     from repro.core.classifier import EmbeddingClassifier
     from repro.grammar import tokensregex as tr

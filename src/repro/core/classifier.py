@@ -19,25 +19,26 @@ BoW bucket ids and values next to a dense embedding block. ``fit`` and
 ``np.bincount`` over the BoW ids and a dense BLAS matvec over the
 embedding block, so each epoch costs O(nonzeros + m·dim), not m·288.
 This is the dense logistic regression with a different summation order
-(weights and scores agree to a few 1e-16). A plain 2-D array is taken as the embedding
-block with an empty BoW block, and for it the arithmetic is exactly the
-dense loop's.
+(weights and scores agree to a few 1e-16). A plain 2-D array is taken
+as the embedding block with an empty BoW block and one row per
+sentence, and for it the arithmetic is exactly the dense loop's.
 
-Many sentences share a feature row (directions: 845 distinct rows for
-15,300 sentences), so the classifier keeps float64 copies of the
-distinct rows only (``Features.distinct``: grouped on the bytes of the
-layout arrays, never on tokens, since a mean word vector depends on
-summation order). In the weighted loss, c training rows that are bit-
-identical and share a label and sample weight sw contribute c equal
-terms to every gradient; one row of weight c·sw contributes the same
-sum. ``fit`` therefore draws the training set as before and merges it
-by (feature row, label), in order of first appearance, keeping the
-divisor m = |training set|. Only rounding changes (one product c·sw
-where the loop added c terms, in another order), so weights and scores
-stay within a few 1e-16 of the per-sentence loop. A training set with
-no repeated row runs the same arithmetic, bit for bit. ``scores``
-computes one sigmoid per distinct row and gathers it back to the
-sentences, so bit-identical rows score identically.
+Many sentences share a token sequence (directions: 845 distinct
+sequences for 15,300 sentences), and ``Features`` holds one row per
+distinct sequence, so the classifier keeps float64 copies of those rows
+only. Two sentences with the same token sequence have the same BoW
+buckets and sum the same word vectors in the same order, so their
+features are bit-identical. In the weighted loss, c training rows that
+are bit-identical and share a label and sample weight sw contribute c
+equal terms to every gradient; one row of weight c·sw contributes the
+same sum. ``fit`` therefore draws the training set per sentence and
+merges it by (feature row, label), in order of first appearance,
+keeping the divisor m = |training set|. Only rounding changes (one
+product c·sw where the loop added c terms, in another order), so
+weights and scores stay within a few 1e-16 of the per-sentence loop. A
+training set with no repeated row runs the same arithmetic, bit for
+bit. ``scores`` computes one sigmoid per row and gathers it back to the
+sentences, so sentences that share a row score identically.
 """
 from __future__ import annotations
 
@@ -72,17 +73,16 @@ class EmbeddingClassifier:
         benefit scores are recall-oriented; ``balance=False`` with a
         larger ``neg_ratio`` (final-classifier mode) keeps the sampled
         prior so thresholding at 0.5 is precision-sane under imbalance."""
-        if not isinstance(features, Features):
+        if not isinstance(features, Features):  # one row per sentence
             dense = np.asarray(features)
             empty = np.empty((len(dense), 0))
-            features = Features(empty.astype(np.int32), empty, dense, 0)
-        # float64 copies of the distinct feature rows only; sentence i has
-        # row self.row[i]. intp ids: take and bincount would convert int32
-        # on every epoch.
-        first, self.row = features.distinct
-        self.bow_ids = features.bow_ids[first].astype(np.intp)
-        self.bow_vals = np.asarray(features.bow_vals[first], dtype=np.float64)
-        self.dense = np.asarray(features.dense[first], dtype=np.float64)
+            features = Features(empty.astype(np.int32), empty, dense, 0, np.arange(len(dense)))
+        # float64 copies of the feature rows; sentence i has row self.row[i].
+        # intp ids: take and bincount would convert int32 on every epoch.
+        self.row = features.row
+        self.bow_ids = features.bow_ids.astype(np.intp)
+        self.bow_vals = np.asarray(features.bow_vals, dtype=np.float64)
+        self.dense = np.asarray(features.dense, dtype=np.float64)
         self.hash_dim = features.hash_dim
         self.n = len(self.row)
         self.l2, self.lr, self.epochs = l2, lr, epochs

@@ -89,9 +89,13 @@ def run_darwin(
     asked: set[str] = set(rules)
     history: list[dict] = []
 
-    cands = generate_candidates(index, mask, K_CANDIDATES, overlaps=overlaps)
-    hierarchy = Hierarchy.build(index, cands, mask, scores=classifier.scores(),
-                                overlaps=overlaps)
+    def rebuild() -> Hierarchy:
+        """Candidates and hierarchy for the current P (Alg 2 + cleanup)."""
+        cands = generate_candidates(index, mask, K_CANDIDATES, overlaps=overlaps)
+        return Hierarchy.build(index, cands, mask, scores=classifier.scores(),
+                               overlaps=overlaps)
+
+    hierarchy = rebuild()
     # Prime the strategy with the seed's (known-YES) verdict so
     # LocalSearch starts from the seed's neighborhood (Alg 3 line 3).
     if seed_rule is not None:
@@ -100,13 +104,11 @@ def run_darwin(
         # Seeded from labeled sentences: the local neighborhood is the
         # set of candidate rules with evidence on those sentences.
         strat.prime(hierarchy.overlapping())
-    stale = False  # regenerate candidates whenever P changes
+    stale = False  # P changed: rebuild before the next query, never after the last
 
     for q in range(1, budget + 1):
         if stale:
-            cands = generate_candidates(index, mask, K_CANDIDATES, overlaps=overlaps)
-            hierarchy = Hierarchy.build(index, cands, mask, scores=classifier.scores(),
-                                        overlaps=overlaps)
+            hierarchy = rebuild()
             stale = False
         key = strat.select(hierarchy, asked)
         if key is None:

@@ -29,9 +29,9 @@ class Prepared:
     spec: CorpusSpec
     corpus_df: DataFrame
     index: HeuristicIndex
-    features: emb.Features        # BoW ids/values + embedding block, sid-ordered
+    features: emb.Features        # a row per distinct token list; .row maps sid → row
     labels: np.ndarray            # ground truth, sid-ordered
-    token_lists: list[list[str]]  # sid-ordered tokens (baselines, display)
+    token_lists: list[list[str]]  # sid-ordered tokens (baselines)
     cfg: SketchConfig
 
     @property

@@ -76,8 +76,3 @@ def parents_of(key: str) -> list[str]:
     if len(pat) == 1:
         return [ROOT]
     return list({key_of(pat[1:]), key_of(pat[:-1])})
-
-
-def display(key: str) -> str:
-    """Human-readable form shown to the (simulated) annotator."""
-    return "'" + " ".join(pattern_of(key)) + "'"

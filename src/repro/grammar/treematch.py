@@ -117,14 +117,3 @@ def parents_of(key: str) -> list[str]:
         a, b = body.split("/")
         return [f"{PREFIX}:{a}//{b}"]
     return [ROOT]
-
-
-def display(key: str) -> str:
-    """Paper-style rendering, e.g. '/is/NOUN∧job'."""
-    body = key.split(":", 1)[1]
-    conj = ""
-    if "&" in body:
-        body, c = body.split("&", 1)
-        conj = "∧" + c.split("=", 1)[1]
-    body = "/".join(p.split("=", 1)[1] for p in body.split("/"))
-    return "/" + body + conj

@@ -20,15 +20,16 @@ Only Word2Vec training runs on Spark.
 The features are held as :class:`Features`, not as one dense matrix: a
 sentence fills at most a handful of the ``hash_dim`` BoW buckets, so the
 BoW block is kept as per-row bucket ids and values, next to the dense
-embedding block. :func:`hashed_bow` and :func:`sentence_vector` are the
-dense definitions of the two blocks.
+embedding block. Many sentences repeat a token sequence (directions:
+845 distinct sequences in 15,300 sentences), so the arrays hold one row
+per distinct sequence and a sentence → row map. :func:`hashed_bow` and
+:func:`sentence_vector` are the dense definitions of the two blocks.
 """
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -42,43 +43,25 @@ DEFAULT_DIM = 32
 
 @dataclass(frozen=True)
 class Features:
-    """Sentence features ``[hashed BoW ; mean word vector]``, sid-ordered.
+    """Sentence features ``[hashed BoW ; mean word vector]``, one row per
+    distinct token sequence; sentence ``i`` has row ``row[i]``.
 
-    Row ``i`` of the BoW block is nonzero exactly at the buckets
-    ``bow_ids[i]``, sorted and distinct, with the values ``bow_vals[i]``.
+    Row ``g`` of the BoW block is nonzero exactly at the buckets
+    ``bow_ids[g]``, sorted and distinct, with the values ``bow_vals[g]``.
     ``K`` is the largest bucket count of any row; a row with fewer
     buckets is padded with the sentinel id ``hash_dim`` and value 0, so an
     empty sentence is all sentinel.
     """
 
-    bow_ids: np.ndarray   # (n, K) int32 bucket ids in [0, hash_dim]
-    bow_vals: np.ndarray  # (n, K) float32 values at those buckets
-    dense: np.ndarray     # (n, dim) float32 mean word vectors
+    bow_ids: np.ndarray   # (rows, K) int32 bucket ids in [0, hash_dim]
+    bow_vals: np.ndarray  # (rows, K) float32 values at those buckets
+    dense: np.ndarray     # (rows, dim) float32 mean word vectors
     hash_dim: int
+    row: np.ndarray       # (n,) intp: each sentence's row, sid-ordered
 
     @property
     def nbytes(self) -> int:
-        return self.bow_ids.nbytes + self.bow_vals.nbytes + self.dense.nbytes
-
-    @cached_property
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(first, row)``: the distinct feature rows, in order of first
-        appearance. ``first[g]`` is the first sentence with row ``g``
-        (ascending) and ``row[i]`` is sentence ``i``'s row.
-
-        Two sentences share a row iff their ``bow_ids``, ``bow_vals`` and
-        ``dense`` bytes are identical, so the row's values are exactly
-        each sentence's. Computed once, on first use.
-        """
-        n = len(self.dense)
-        raw = np.hstack([np.ascontiguousarray(a).view(np.uint8)
-                         for a in (self.bow_ids, self.bow_vals, self.dense)])
-        if raw.shape[1] == 0:  # no columns: every row is the empty row
-            return np.arange(min(n, 1)), np.zeros(n, dtype=np.intp)
-        _, at, inverse = np.unique(raw.view(f"V{raw.shape[1]}").ravel(),
-                                   return_index=True, return_inverse=True)
-        order = np.argsort(at)  # byte order -> first-appearance order
-        return at[order], np.argsort(order)[inverse]
+        return self.bow_ids.nbytes + self.bow_vals.nbytes + self.dense.nbytes + self.row.nbytes
 
 
 def hashing_embeddings(words: Iterable[str], dim: int = DEFAULT_DIM) -> dict[str, np.ndarray]:
@@ -150,14 +133,23 @@ def combined_matrix(
     The BoW block gives the classifier lexical precision (the Kim-CNN's
     n-gram filters play this role in the paper); the embedding block
     carries the semantic-generalization signal ('bus' → 'public
-    transport') that guides the benefit scores. Densified, row ``i`` is
-    exactly ``hashed_bow(ts) ; sentence_vector(ts)``.
+    transport') that guides the benefit scores. Densified, sentence
+    ``ts``'s row is exactly ``hashed_bow(ts) ; sentence_vector(ts)``.
+
+    Each distinct token sequence is featurized once, in order of first
+    appearance. Sentences with the same sequence get the same buckets and
+    the same summation order, so their rows would be bit-identical; a
+    token multiset would not do, since a mean word vector depends on the
+    order of its terms.
     """
-    n = len(token_lists)
-    bucket = {t: _bucket(t, hash_dim) for t in set(chain.from_iterable(token_lists))}
+    seqs: dict[tuple[str, ...], int] = {}
+    row = np.fromiter((seqs.setdefault(tuple(ts), len(seqs)) for ts in token_lists),
+                      dtype=np.intp, count=len(token_lists))
+    n = len(seqs)
+    bucket = {t: _bucket(t, hash_dim) for t in set(chain.from_iterable(seqs))}
     # Sorted, so the order of a row's buckets (and with it the classifier's
     # summation order) does not depend on string hashing.
-    rows = [sorted({bucket[t] for t in ts}) for ts in token_lists]
+    rows = [sorted({bucket[t] for t in ts}) for ts in seqs]
     lens = np.fromiter(map(len, rows), dtype=np.int64, count=n)
     k = int(lens.max(initial=0))
     filled = np.arange(k) < lens[:, None]
@@ -168,6 +160,6 @@ def combined_matrix(
     bow_vals = np.zeros((n, k), dtype=np.float32)
     bow_vals[filled] = np.repeat(val, lens)
     dense = np.zeros((n, dim), dtype=np.float32)
-    for i, ts in enumerate(token_lists):
+    for i, ts in enumerate(seqs):
         dense[i] = sentence_vector(ts, emb, dim)
-    return Features(bow_ids, bow_vals, dense, hash_dim)
+    return Features(bow_ids, bow_vals, dense, hash_dim, row)

@@ -48,11 +48,11 @@ def _reference_fit(X, pos_ids, *, l2=1e-2, lr=0.5, epochs=200, seed=0,
 def _ungrouped_fit(features, pos_ids, *, l2=1e-2, lr=0.5, epochs=200, seed=0,
                    balance=True, neg_ratio=2.0):
     """The sparse-layout fit over every training sentence, before bit-identical
-    feature rows were merged, kept verbatim as the reference: returns (w, b,
-    scores of every row, the training ids)."""
-    all_ids = features.bow_ids.astype(np.intp)
-    all_vals = np.asarray(features.bow_vals, dtype=np.float64)
-    all_dense = np.asarray(features.dense, dtype=np.float64)
+    feature rows were merged, kept as the reference on per-sentence copies of
+    the rows: returns (w, b, scores of every sentence, the training ids)."""
+    all_ids = features.bow_ids[features.row].astype(np.intp)
+    all_vals = np.asarray(features.bow_vals[features.row], dtype=np.float64)
+    all_dense = np.asarray(features.dense[features.row], dtype=np.float64)
     n = len(all_dense)
     rng = np.random.default_rng(seed)
     pos = np.fromiter(pos_ids, dtype=np.int64)
@@ -197,7 +197,7 @@ def test_plain_matrix_is_the_dense_loop_exactly(kwargs, n_pos):
 
 def test_layout_matches_dense_reference(prep_directions):
     prep = prep_directions
-    X = densify(prep.features)
+    X = densify(prep.features)[prep.features.row]
     true_pos = np.flatnonzero(prep.labels)
     for pos in (prep.index.ids(prep.seed_rule_key()), true_pos[:300], true_pos):
         assert len(pos)
@@ -219,20 +219,19 @@ def test_scores_reject_ids_outside_the_corpus():
                 clf.scores(bad)
 
 
-def _hand_built(patterns):
-    """Features whose sentence i has the feature row ``patterns[i]`` of four
+def _hand_built(row):
+    """Features whose sentence i has the feature row ``row[i]`` of four
     distinct hand-picked rows (hash_dim 8, K = 2, dim 3)."""
     ids = np.array([[0, 3], [1, 8], [0, 3], [8, 8]], dtype=np.int32)
     vals = np.array([[0.6, 0.8], [1.0, 0.0], [0.6, 0.8], [0.0, 0.0]], dtype=np.float32)
     dense = np.array([[0.5, -1.0, 0.25], [0.0, 2.0, 1.0], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]],
                      dtype=np.float32)
-    p = np.asarray(patterns)
-    return Features(ids[p], vals[p], dense[p], 8)
+    return Features(ids, vals, dense, 8, np.asarray(row))
 
 
 def _expected_groups(features, ids, n_pos):
     """(row, label) -> training ids, in order of first appearance."""
-    row = features.distinct[1]
+    row = features.row
     groups = {}
     for j, i in enumerate(ids):
         groups.setdefault((int(row[i]), int(j < n_pos)), []).append(int(i))
@@ -244,8 +243,6 @@ def test_a_row_in_both_classes_stays_two_groups(seed):
     """Sentences 0, 1 (positive) and 4, 5, 10 (negative) share one feature
     row: the training set holds it once per label, weighted by its count."""
     f = _hand_built([0, 0, 1, 2, 0, 0, 3, 1, 2, 3, 0, 1])
-    first, row = f.distinct
-    assert first.tolist() == [0, 2, 3, 6] and row.tolist() == [0, 0, 1, 2, 0, 0, 3, 1, 2, 3, 0, 1]
     pos = [0, 1, 2]
     # All nine other sentences are drawn as negatives.
     w, b, s, ids = _ungrouped_fit(f, pos, seed=seed)
@@ -265,23 +262,9 @@ def test_a_row_in_both_classes_stays_two_groups(seed):
     assert np.abs(clf.scores() - s).max() <= LAYOUT_TOL
 
 
-def test_rows_group_on_bytes_only():
-    """Rows 0 and 2 of ``_hand_built`` differ only in one dense value; a
-    one-ulp change makes a new row, and bit-identical rows score the same."""
-    f = _hand_built([0, 2, 0, 3, 2, 0])
-    dense = f.dense.copy()
-    dense[5, 0] = np.nextafter(dense[5, 0], np.float32(1))
-    f = Features(f.bow_ids, f.bow_vals, dense, f.hash_dim)
-    first, row = f.distinct
-    assert first.tolist() == [0, 1, 3, 5] and row.tolist() == [0, 1, 0, 2, 1, 3]
-    s = EmbeddingClassifier(f, seed=1).fit([0, 3]).scores()
-    assert s[0] == s[2] and s[1] == s[4]
-
-
 def test_degenerate_features():
     empty = Features(np.empty((0, 2), np.int32), np.empty((0, 2), np.float32),
-                     np.empty((0, 3), np.float32), 8)
-    assert [a.tolist() for a in empty.distinct] == [[], []]
+                     np.empty((0, 3), np.float32), 8, np.empty(0, np.intp))
     clf = EmbeddingClassifier(empty)
     assert clf.scores().shape == (0,)
     with pytest.raises(ValueError, match="zero positive"):
@@ -289,9 +272,8 @@ def test_degenerate_features():
     with pytest.raises(ValueError, match=re.escape("[0, 0): [0]")):
         clf.fit([0])
 
-    # No columns at all: every sentence has the one (empty) row.
+    # No columns at all: every sentence scores the bias alone.
     blank = EmbeddingClassifier(np.zeros((6, 0)))
-    assert blank.row.tolist() == [0] * 6
     s = blank.fit([1]).scores()
     assert len(s) == 6 and len(set(s.tolist())) == 1
 
@@ -301,21 +283,19 @@ def test_degenerate_features():
     pos = np.flatnonzero(np.concatenate([y, y[::2]]))
     w, b, s = _reference_fit(X, pos.tolist(), seed=3)
     clf = EmbeddingClassifier(X, seed=3).fit(pos.tolist())
-    assert len(clf.dense) == 40
     assert np.abs(_dense_weights(clf) - w).max() <= LAYOUT_TOL and abs(clf.b - b) <= LAYOUT_TOL
     assert np.abs(clf.scores() - s).max() <= LAYOUT_TOL
 
 
 def test_distinct_rows_are_the_bitwise_distinct_rows(prep_directions):
+    """On directions, grouping sentences by token sequence loses nothing
+    against grouping their features by bytes: the rows are bitwise distinct."""
     f = prep_directions.features
-    first, row = f.distinct
+    sentence_bytes = [f.bow_ids[g].tobytes() + f.bow_vals[g].tobytes() + f.dense[g].tobytes()
+                      for g in f.row]
     seen = {}
-    expected = [seen.setdefault(f.bow_ids[i].tobytes() + f.bow_vals[i].tobytes()
-                                + f.dense[i].tobytes(), len(seen))
-                for i in range(len(f.dense))]
-    assert row.tolist() == expected and len(first) == len(seen)
-    assert np.array_equal(row[first], np.arange(len(first)))
-    assert f.distinct is f.distinct  # computed once per Features
+    assert [seen.setdefault(b, len(seen)) for b in sentence_bytes] == f.row.tolist()
+    assert len(seen) == len(f.dense)
 
 
 def test_grouped_fit_matches_ungrouped_reference(prep_directions):
@@ -334,4 +314,6 @@ def test_grouped_fit_matches_ungrouped_reference(prep_directions):
         assert abs(clf.b - b) <= LAYOUT_TOL
         s_clf = clf.scores()
         assert np.abs(s_clf - s).max() <= LAYOUT_TOL
-        assert np.array_equal(s_clf, s_clf[f.distinct[0]][f.distinct[1]])
+        per_row = np.empty(len(f.dense))
+        per_row[f.row] = s_clf
+        assert np.array_equal(s_clf, per_row[f.row])  # one score per feature row

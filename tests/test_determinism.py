@@ -3,11 +3,9 @@
 The prepared directions corpus (index CSR arrays, feature layout arrays,
 labels, token lists) is dumped once; each session then runs in a fresh
 interpreter, without Spark, under PYTHONHASHSEED 0, 1 and 2. Each
-interpreter rebuilds the BoW ids and values from the token lists, the
-part of the features that string hashing could reorder, and checks
-them against the dump before running on them. It also checks that the
-classifier's grouping of distinct feature rows, rebuilt from those
-arrays, equals the grouping the parent process computed.
+interpreter rebuilds the BoW ids and values and the sentence → row map
+from the token lists, the parts of the features that string hashing
+could reorder, and checks them against the dump before running on them.
 """
 import json
 import os
@@ -34,10 +32,8 @@ z = np.load(f"{d}/prep.npz")
 bow = combined_matrix(json.load(open(f"{d}/tokens.json")), {}, 0, int(z["hash_dim"]))
 assert np.array_equal(bow.bow_ids, z["bow_ids"]), "BoW ids depend on string hashing"
 assert np.array_equal(bow.bow_vals, z["bow_vals"])
-features = Features(bow.bow_ids, bow.bow_vals, z["dense"], bow.hash_dim)
-first, row = features.distinct
-assert np.array_equal(first, z["first"]), "distinct feature rows differ from the dump's"
-assert np.array_equal(row, z["row"])
+assert np.array_equal(bow.row, z["row"]), "sentence rows depend on string hashing"
+features = Features(bow.bow_ids, bow.bow_vals, z["dense"], bow.hash_dim, bow.row)
 offsets, postings = z["offsets"], z["postings"]
 index = HeuristicIndex(
     {k: postings[offsets[r]:offsets[r + 1]] for r, k in enumerate(keys)}, int(z["n"])
@@ -64,8 +60,7 @@ def test_rules_identical_across_hash_seeds(prep_directions, tmp_path):
     (tmp_path / "tokens.json").write_text(json.dumps(prep_directions.token_lists))
     np.savez(tmp_path / "prep.npz", offsets=index.offsets, postings=index.postings,
              n=index.n_sentences, bow_ids=f.bow_ids, bow_vals=f.bow_vals, dense=f.dense,
-             hash_dim=f.hash_dim, labels=prep_directions.labels,
-             first=f.distinct[0], row=f.distinct[1])
+             hash_dim=f.hash_dim, labels=prep_directions.labels, row=f.row)
     procs = []
     for hash_seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))

@@ -6,7 +6,8 @@ from repro.text import embeddings as emb
 
 
 def densify(features):
-    """The (n × hash_dim+dim) float32 matrix the layout stands for."""
+    """The (rows × hash_dim+dim) float32 matrix of the layout's distinct rows;
+    ``densify(f)[f.row]`` is the per-sentence matrix."""
     n, k = features.bow_ids.shape
     X = np.zeros((n, features.hash_dim + 1 + features.dense.shape[1]), dtype=np.float32)
     X[np.repeat(np.arange(n), k), features.bow_ids.ravel()] = features.bow_vals.ravel()
@@ -26,6 +27,8 @@ def _dense_combined_matrix(token_lists, e, dim, hash_dim=256):
 
 
 # "c" and "j" share BoW bucket 3 of 256; "bus", "r" and "w" share 228.
+# The last five are a permutation, a repeated-token variant (same BoW
+# buckets, different mean vector) and an exact duplicate of "a b c".
 SENTENCES = [
     ["take", "the", "bus", "to", "the", "airport"],
     [],
@@ -33,7 +36,13 @@ SENTENCES = [
     ["zzz-oov"],
     ["the", "the", "the"],
     [f"t{i}" for i in range(12)],
+    ["a", "b", "c"],
+    ["b", "a", "c"],
+    ["a", "a", "b"],
+    ["a", "b"],
+    ["a", "b", "c"],
 ]
+SENTENCE_ROWS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 6]  # first-appearance order
 
 
 def test_hashing_deterministic():
@@ -68,7 +77,7 @@ def test_combined_matrix_blocks():
     e = emb.hashing_embeddings(["a", "b"], dim=8)
     sents = [["a"], ["b", "a", "oov"], []]
     f = emb.combined_matrix(sents, e, 8, hash_dim=32)
-    X = densify(f)
+    X = densify(f)[f.row]
     assert X.shape == (3, 40)
     for row, ts in zip(X, sents):
         assert np.array_equal(row, np.concatenate([emb.hashed_bow(ts, 32),
@@ -78,16 +87,27 @@ def test_combined_matrix_blocks():
 def test_layout_densifies_to_the_dense_matrix():
     assert emb._bucket("c", 256) == emb._bucket("j", 256)
     assert emb._bucket("bus", 256) == emb._bucket("r", 256) == emb._bucket("w", 256)
-    e = emb.hashing_embeddings(["take", "the", "bus", "to", "airport", "c", "t3"], dim=16)
+    e = emb.hashing_embeddings(["take", "the", "bus", "to", "airport", "c", "t3", "a", "b"],
+                               dim=16)
     f = emb.combined_matrix(SENTENCES, e, 16)
     assert f.bow_ids.dtype == np.int32 and f.bow_vals.dtype == np.float32
-    assert f.bow_ids.shape == (len(SENTENCES), 12)  # K = the most buckets in a row
-    assert np.array_equal(densify(f), _dense_combined_matrix(SENTENCES, e, 16))
+    assert f.bow_ids.shape == (10, 12)  # K = the most buckets in a row
+    assert np.array_equal(densify(f)[f.row], _dense_combined_matrix(SENTENCES, e, 16))
+
+
+def test_one_row_per_distinct_token_sequence():
+    e = emb.hashing_embeddings(["a", "b", "c"], dim=16)
+    f = emb.combined_matrix(SENTENCES, e, 16)
+    assert f.row.tolist() == SENTENCE_ROWS
+    assert len(f.bow_ids) == len(f.bow_vals) == len(f.dense) == max(SENTENCE_ROWS) + 1
+    # "a a b" and "a b" share their BoW buckets but not their mean vector.
+    assert np.array_equal(f.bow_ids[8], f.bow_ids[9]) and not np.array_equal(f.dense[8], f.dense[9])
 
 
 def test_layout_rows_are_sorted_distinct_and_padded():
     f = emb.combined_matrix(SENTENCES, {}, 4)
-    for ids, vals, ts in zip(f.bow_ids, f.bow_vals, SENTENCES):
+    for i, ts in enumerate(SENTENCES):
+        ids, vals = f.bow_ids[f.row[i]], f.bow_vals[f.row[i]]
         used = ids[ids < f.hash_dim]
         assert np.array_equal(used, np.unique([emb._bucket(t, 256) for t in ts]).astype(np.int32))
         assert np.all(ids[len(used):] == f.hash_dim)  # sentinel padding after the buckets
@@ -96,12 +116,13 @@ def test_layout_rows_are_sorted_distinct_and_padded():
             assert np.all(vals[:len(used)] == np.float32(1) / np.sqrt(np.float32(len(used))))
     assert np.all(f.bow_ids[1] == f.hash_dim)  # the empty sentence: all sentinel
     assert np.array_equal(f.bow_ids[2][:2], [3, 228])  # five tokens, two buckets
-    assert f.nbytes == f.bow_ids.nbytes + f.bow_vals.nbytes + f.dense.nbytes
+    assert f.nbytes == f.bow_ids.nbytes + f.bow_vals.nbytes + f.dense.nbytes + f.row.nbytes
 
 
 def test_combined_matrix_of_no_sentences():
     f = emb.combined_matrix([], {}, 4)
-    assert f.bow_ids.shape == (0, 0) and f.dense.shape == (0, 4)
+    assert f.bow_ids.shape == (0, 0) and f.dense.shape == (0, 4) and f.row.shape == (0,)
+    assert np.array_equal(densify(f)[f.row], _dense_combined_matrix([], {}, 4))
 
 
 def test_word2vec_trains_and_returns_vectors(spark):

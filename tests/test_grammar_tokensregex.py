@@ -92,10 +92,6 @@ def test_parents_dispatch_via_base():
     assert parents_of("tr:best way") == tr.parents_of("tr:best way")
 
 
-def test_display():
-    assert tr.display("tr:best way to") == "'best way to'"
-
-
 def test_duplicate_token_ngram_parents_deduped():
     # 'to get to' → dropping first/last both give distinct keys here,
     # but 'to to' style patterns must not yield duplicate parents.

@@ -72,7 +72,6 @@ def test_paper_example_rule_shape():
     toks, tags, par = _parsed(SENT)
     key = "tm:t=is/p=NOUN&t=job"
     assert tm.matches(key, toks, tags, par)
-    assert tm.display(key) == "/is/NOUN∧job"
 
 
 def test_parents_of_child_pattern_is_descendant():

@@ -14,6 +14,7 @@ sentences (64 cores / 500 GB); we run on local[*], sized by
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -36,22 +37,19 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=1_000_000)
     ap.add_argument("--budget", type=int, default=100)
     ap.add_argument("--min-count", type=int, default=5)
-    ap.add_argument("--top-k", type=int, default=200_000)
     ap.add_argument("--embedding", default="hashing", choices=["hashing", "word2vec"])
     args = ap.parse_args()
     spark = get_spark("scale1m")
 
     t0 = time.time()
-    corpus = build_corpus(spark, professions(n=args.n), partitions=64).cache()
+    corpus = build_corpus(spark, professions(n=args.n)).cache()
     n = corpus.count()
     t_corpus = time.time() - t0
     print(f"[scale] corpus built+annotated: n={n} in {t_corpus:.1f}s")
 
     t0 = time.time()
     cfg = SketchConfig(max_len=5, max_gap=3)
-    index = HeuristicIndex.from_sketch(
-        sketch_df(corpus, cfg), n, min_count=args.min_count, top_k=args.top_k
-    )
+    index = HeuristicIndex.from_sketch(sketch_df(corpus, cfg), n, min_count=args.min_count)
     t_index = time.time() - t0
     print(f"[scale] index built: {len(index)} heuristics in {t_index:.1f}s "
           f"(paper: <5 min)")
@@ -96,7 +94,9 @@ def main() -> None:
     print(f"[scale] distributed weak labels: {n_weak} positives in {t_apply:.1f}s")
 
     total = t_corpus + t_index + t_feat + t_darwin + t_apply
-    print(f"[scale] TOTAL {total/60:.1f} min (paper: <3 h at 1M)")
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"[scale] TOTAL {total/60:.1f} min (paper: <3 h at 1M), "
+          f"Python driver peak RSS {rss_mb:.0f} MB")
     spark.stop()
 
 

@@ -175,22 +175,3 @@ class EmbeddingClassifier:
                          self.dense)
         return _sigmoid(logits)[row]
 
-
-class ScriptedClassifier:
-    """Test double: returns a fixed score vector; ``fit`` is a no-op.
-
-    Lets traversal unit tests pin each branch of Algorithms 3–5 without
-    depending on LR convergence.
-    """
-
-    def __init__(self, scores: np.ndarray):
-        self._scores = np.asarray(scores, dtype=np.float64)
-        self.n = len(self._scores)
-        self.fit_calls = 0
-
-    def fit(self, pos_ids) -> "ScriptedClassifier":
-        self.fit_calls += 1
-        return self
-
-    def scores(self, ids: np.ndarray | None = None) -> np.ndarray:
-        return self._scores if ids is None else self._scores[np.asarray(ids, dtype=np.int64)]

@@ -36,8 +36,6 @@ class LocalSearch:
     come from the index on the fly (§3.4 "Efficient Implementation").
     """
 
-    name = "local"
-
     def __init__(self, seed_rule: str):
         self.cands: set[str] = {seed_rule}
 
@@ -71,8 +69,6 @@ class UniversalSearch:
     oracle queries rather than silently burned (deviation from the
     pseudocode's query-count-on-skip; noted in EXPERIMENTS.md)."""
 
-    name = "universal"
-
     def __init__(self, seed_rule: str):
         self.seed = seed_rule
 
@@ -103,8 +99,6 @@ class HybridSearch:
     """Algorithm 5: start in universal mode; after τ consecutive
     unsuccessful attempts switch modes, resetting the counter (τ=5 by
     default, §3.6). A YES resets the failure counter."""
-
-    name = "hybrid"
 
     def __init__(self, seed_rule: str, *, tau: int = 5):
         self.local = LocalSearch(seed_rule)
@@ -146,8 +140,6 @@ class HighP:
     (max mean score over its full coverage set) — tends to pick rules
     with very small coverage, as the paper observes."""
 
-    name = "highp"
-
     def __init__(self, seed_rule: str):
         pass
 
@@ -174,8 +166,6 @@ class HighC:
     their expected precision" — over the *whole index*, not Darwin's
     curated candidates. Its suggestions are mostly rejected by the
     oracle, which is why the paper omits it from the plots."""
-
-    name = "highc"
 
     def __init__(self, seed_rule: str):
         self._order: list[str] | None = None

@@ -118,10 +118,6 @@ def annotate(corpus_df: DataFrame) -> DataFrame:
     return corpus_df.mapInPandas(_annot, schema=schema)
 
 
-def build_corpus(spark: SparkSession, spec: CorpusSpec, *, partitions: int | None = None) -> DataFrame:
-    """Generate + annotate + cache a corpus for ``spec``."""
-    pdf = generate_pandas(spec)
-    df = spark.createDataFrame(pdf)
-    if partitions:
-        df = df.repartition(partitions)
-    return annotate(df)
+def build_corpus(spark: SparkSession, spec: CorpusSpec) -> DataFrame:
+    """Generate + annotate a corpus for ``spec``."""
+    return annotate(spark.createDataFrame(generate_pandas(spec)))

@@ -21,6 +21,8 @@ from repro.corpora.datasets import ALL_DATASETS, PAPER_TABLE1
 from repro.corpora.generator import build_corpus
 from repro.eval.metrics import coverage_of_ids, precision_recall_f1
 from repro.eval.pipeline import Prepared, prepare
+from repro.grammar import tokensregex
+from repro.index.inverted import HeuristicIndex
 from repro.snorkel_lite.label_model import LabelModel, majority_vote
 
 # Paper's Table 2 (F-score with/without Snorkel de-noising).
@@ -159,6 +161,16 @@ def coverage_curves(
     return pd.DataFrame(rows)
 
 
+def pool_without(index: HeuristicIndex, token: str) -> np.ndarray:
+    """Sorted ids of the sentences not containing ``token``: the
+    complement of its unigram key's postings. Raises a ``ValueError``
+    if that key is not in the index."""
+    key = tokensregex.key_of((token,))
+    if key not in index:
+        raise ValueError(f"token {token!r} is not an index key ({key!r})")
+    return np.setdiff1d(np.arange(index.n_sentences), index.ids(key))
+
+
 def snuba_comparison(
     prep: Prepared,
     *,
@@ -175,11 +187,9 @@ def snuba_comparison(
     so Snuba has zero evidence for that family.
     """
     rng = np.random.default_rng(seed)
-    n = prep.n
-    pool = np.arange(n)
+    pool = np.arange(prep.n)
     if biased_exclude_token:
-        keep = [i for i in pool if biased_exclude_token not in prep.token_lists[i]]
-        pool = np.array(keep)
+        pool = pool_without(prep.index, biased_exclude_token)
 
     rows = []
     for size in seed_sizes:

@@ -31,7 +31,6 @@ class Prepared:
     index: HeuristicIndex
     features: emb.Features        # a row per distinct token list; .row maps sid → row
     labels: np.ndarray            # ground truth, sid-ordered
-    token_lists: list[list[str]]  # sid-ordered tokens (baselines)
     cfg: SketchConfig
 
     @property
@@ -74,6 +73,5 @@ def prepare(
         index=index,
         features=features,
         labels=labels,
-        token_lists=token_lists,
         cfg=cfg,
     )

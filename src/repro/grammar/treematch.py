@@ -85,7 +85,6 @@ def matches(key: str, tokens: list[str], tags: list[str], parents: list[int]) ->
         return False
     if "//" in body:
         a, b = body.split("//")
-        kids = None
         for i in range(len(tokens)):
             if _match_term(a, i, tokens, tags):
                 for d in descendants_of(parents, i):

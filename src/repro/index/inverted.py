@@ -3,11 +3,11 @@ driver-side structure with O(1) parent/child navigation.
 
 Two layers:
 
-1. :func:`index_df` — Spark aggregation of the sketch rows into
-   ``(key, count, ids)`` with each ``ids`` list sorted. This is the
-   distributed merge of the per-sentence derivation sketches (the
-   paper's index build, linear in corpus size and "highly
-   parallelizable").
+1. :func:`index_df` — one Spark aggregation of the sketch rows into
+   ``(key, count, ids)`` with each ``ids`` list sorted, keeping the keys
+   that cover at least ``min_count`` sentences. This is the distributed
+   merge of the per-sentence derivation sketches (the paper's index
+   build, linear in corpus size and "highly parallelizable").
 2. :class:`HeuristicIndex` — the collected (thresholded) index on the
    driver, stored as CSR postings: a ``key → row`` map, an ``int64``
    ``offsets`` array and one ``int32`` ``postings`` array holding each
@@ -25,10 +25,8 @@ Two layers:
    (Algorithms 2–5) navigates this structure; Spark is the machinery
    that produced it.
 
-For large corpora the collect is bounded two ways: ``min_count`` drops
-singleton heuristics (never precise-and-useful at scale) and
-``top_k`` keeps the most frequent keys (the paper caps candidate
-generation at 10K candidates per iteration, §D).
+``min_count`` bounds the collect: it drops the rare heuristics (never
+precise-and-useful at scale), which are most of the distinct keys.
 """
 from __future__ import annotations
 
@@ -43,33 +41,21 @@ from pyspark.sql import functions as F
 from repro.grammar.base import ROOT, parents_of
 
 
-def index_df(
-    sketch: DataFrame,
-    *,
-    min_count: int = 1,
-    top_k: int | None = None,
-) -> DataFrame:
-    """Aggregate ``(sid, key)`` sketch rows into the inverted index.
+def index_df(sketch: DataFrame, *, min_count: int = 1) -> DataFrame:
+    """Aggregate ``(sid, key)`` sketch rows into the inverted index, one
+    ``(key, count, ids)`` row per key covering ≥ ``min_count`` sentences.
 
-    When thresholding (``min_count``/``top_k``) the build is two-phase:
-    counts first, survivors selected, then a semi-join collects the
-    inverted lists only for surviving keys. At 1M sentences the sketch
-    holds ~10⁸ rows over tens of millions of distinct keys, most of
-    them singletons — collecting their id-lists before filtering blows
-    the heap.
+    One aggregation, so the sketch is derived once: the id lists of the
+    keys under ``min_count`` are built on the executors and dropped
+    there, and only the surviving rows reach the driver.
     """
-    counts = sketch.groupBy("key").agg(F.count("sid").alias("count"))
-    if min_count > 1:
-        counts = counts.filter(F.col("count") >= min_count)
-    if top_k is not None:
-        counts = counts.orderBy(F.desc("count"), "key").limit(top_k)
     return (
-        sketch.join(counts.select("key"), "key")
-        .groupBy("key")
+        sketch.groupBy("key")
         .agg(
             F.count("sid").alias("count"),
             F.array_sort(F.collect_list("sid")).alias("ids"),
         )
+        .filter(F.col("count") >= min_count)
     )
 
 
@@ -143,14 +129,13 @@ class HeuristicIndex:
         n_sentences: int,
         *,
         min_count: int = 2,
-        top_k: int | None = None,
     ) -> "HeuristicIndex":
         """Collect :func:`index_df` through Arrow, rows in key order.
 
         Sorting on the driver makes the rows, and the ids within each
         row, independent of how Spark partitioned the aggregation.
         """
-        table = index_df(sketch, min_count=min_count, top_k=top_k).select("key", "ids").toArrow()
+        table = index_df(sketch, min_count=min_count).select("key", "ids").toArrow()
         keys = table.column("key").combine_chunks()
         order = pc.sort_indices(keys)
         lists = table.column("ids").combine_chunks().take(order)

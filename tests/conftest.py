@@ -21,6 +21,13 @@ def prep_directions(spark):
 
 
 @pytest.fixture(scope="session")
+def directions_tokens(prep_directions) -> list[list[str]]:
+    """prep_directions' token lists, sid-ordered."""
+    rows = prep_directions.corpus_df.select("tokens").orderBy("sid").collect()
+    return [list(r["tokens"]) for r in rows]
+
+
+@pytest.fixture(scope="session")
 def prep_musicians(spark):
     return prepare(spark, musicians(n=2500))
 

@@ -54,10 +54,10 @@ print(json.dumps(out))
 """
 
 
-def test_rules_identical_across_hash_seeds(prep_directions, tmp_path):
+def test_rules_identical_across_hash_seeds(prep_directions, directions_tokens, tmp_path):
     index, f = prep_directions.index, prep_directions.features
     (tmp_path / "keys.json").write_text(json.dumps(index.keys()))
-    (tmp_path / "tokens.json").write_text(json.dumps(prep_directions.token_lists))
+    (tmp_path / "tokens.json").write_text(json.dumps(directions_tokens))
     np.savez(tmp_path / "prep.npz", offsets=index.offsets, postings=index.postings,
              n=index.n_sentences, bow_ids=f.bow_ids, bow_vals=f.bow_vals, dense=f.dense,
              hash_dim=f.hash_dim, labels=prep_directions.labels, row=f.row)

@@ -23,3 +23,4 @@ def test_scale_job_runs():
     m = re.search(r"^\[scale\] features: .* (\d+) distinct feature rows", proc.stdout, re.M)
     assert m, proc.stdout
     assert 0 < int(m.group(1)) <= N
+    assert re.search(r"^\[scale\] TOTAL .* Python driver peak RSS \d+ MB$", proc.stdout, re.M)

@@ -135,9 +135,19 @@ def test_index_independent_of_shuffle_partitions(spark, small_sketch):
         assert (np.diff(a.ids(key)) > 0).all(), key
 
 
-def test_top_k_limits_size(small_sketch):
-    idx = HeuristicIndex.from_sketch(small_sketch, 400, min_count=2, top_k=100)
-    assert len(idx) == 100
+def test_index_runs_the_sketch_once(spark):
+    """The index is one aggregation over the sketch rows, so its
+    physical plan runs the Python sketch (a ``MapInPandas``) once."""
+    corpus = spark.createDataFrame(
+        [(0, ["a", "b"], ["DT", "NN"], [-1, 0]), (1, ["a"], ["DT"], [-1])],
+        "sid long, tokens array<string>, tags array<string>, parents array<int>",
+    )
+    df = index_df(sketch_df(corpus))
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    assert plan.count("MapInPandas") == 1, plan
+    assert {r["key"]: list(r["ids"]) for r in df.collect()} == {
+        "tr:a": [0, 1], "tr:b": [0], "tr:a b": [0]
+    }
 
 
 def test_treematch_keys_present_when_enabled(spark):

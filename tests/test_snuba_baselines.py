@@ -27,18 +27,18 @@ def test_snuba_positives_union(toy_index):
     assert ids == set(toy_index.coverage("tr:a")) | set(toy_index.coverage("tr:c"))
 
 
-def test_snuba_blind_to_unseen_family(prep_directions):
+def test_snuba_blind_to_unseen_family(prep_directions, directions_tokens):
     """Fig 8's mechanism: exclude 'shuttle' sentences from the labeled
     sample → no mined rule can cover the shuttle family."""
     prep = prep_directions
     rng = np.random.default_rng(5)
-    pool = [i for i in range(prep.n) if "shuttle" not in prep.token_lists[i]]
+    pool = [i for i in range(prep.n) if "shuttle" not in directions_tokens[i]]
     sample = rng.choice(np.array(pool), size=600, replace=False)
     rules = run_snuba(prep.index, list(sample), prep.labels)
     found = snuba_positives(prep.index, rules)
     shuttle_ids = {
         i for i in range(prep.n)
-        if "shuttle" in prep.token_lists[i] and prep.labels[i] == 1
+        if "shuttle" in directions_tokens[i] and prep.labels[i] == 1
     }
     assert shuttle_ids, "corpus should contain shuttle positives"
     assert not (found & shuttle_ids)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.eval.experiments import PAPER_TABLE2, coverage_curves, snuba_comparison, table2
+from repro.eval.experiments import (
+    PAPER_TABLE2,
+    coverage_curves,
+    pool_without,
+    snuba_comparison,
+    table2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +63,14 @@ def test_snuba_comparison_darwin_wins_when_biased(prep_directions):
     )
     # On at least one seed size Darwin must beat Snuba clearly.
     assert (df.darwin_recall - df.snuba_recall).max() > 0.1
+
+
+def test_fig8_pool_is_the_token_scan_pool(prep_directions, directions_tokens):
+    scan = [i for i, ts in enumerate(directions_tokens) if "shuttle" not in ts]
+    assert len(scan) < prep_directions.n
+    np.testing.assert_array_equal(pool_without(prep_directions.index, "shuttle"), scan)
+    with pytest.raises(ValueError, match="'no-such-token'"):
+        pool_without(prep_directions.index, "no-such-token")
 
 
 def test_snuba_comparison_columns(prep_directions):

@@ -1,9 +1,8 @@
-"""Traversal-strategy tests with a scripted classifier, pinning each
-branch of Algorithms 3–5."""
+"""Traversal-strategy tests on hierarchies with fixed scores, pinning
+each branch of Algorithms 3–5."""
 import numpy as np
 import pytest
 
-from repro.core.classifier import ScriptedClassifier
 from repro.core.hierarchy import Hierarchy
 from repro.core.traversal import (
     STRATEGIES,
@@ -175,14 +174,6 @@ def test_highc_ignores_scores_and_uses_whole_index(toy_index):
 
 def test_strategy_registry():
     assert set(STRATEGIES) == {"local", "universal", "hybrid", "highp", "highc"}
-
-
-def test_scripted_classifier_counts_fits():
-    sc = ScriptedClassifier(np.array([0.1, 0.9]))
-    sc.fit({1})
-    assert sc.fit_calls == 1
-    assert np.allclose(sc.scores(), [0.1, 0.9])
-    assert np.allclose(sc.scores(np.array([1])), [0.9])
 
 
 def test_benefit_comes_from_the_hierarchy_scores(toy_index):

@@ -17,7 +17,6 @@ import argparse
 import resource
 import time
 
-import numpy as np
 from pyspark.sql import functions as F
 
 from repro.core.darwin import run_darwin
@@ -26,6 +25,7 @@ from repro.core.oracle_sim import GroundTruthOracle
 from repro.corpora.datasets import professions
 from repro.corpora.generator import build_corpus
 from repro.eval.metrics import coverage_of_ids, precision_of_ids
+from repro.eval.pipeline import collect_corpus
 from repro.index.inverted import HeuristicIndex
 from repro.index.sketch import SketchConfig, sketch_df
 from repro.spark import get_spark
@@ -37,7 +37,6 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=1_000_000)
     ap.add_argument("--budget", type=int, default=100)
     ap.add_argument("--min-count", type=int, default=5)
-    ap.add_argument("--embedding", default="hashing", choices=["hashing", "word2vec"])
     args = ap.parse_args()
     spark = get_spark("scale1m")
 
@@ -48,20 +47,15 @@ def main() -> None:
     print(f"[scale] corpus built+annotated: n={n} in {t_corpus:.1f}s")
 
     t0 = time.time()
-    cfg = SketchConfig(max_len=5, max_gap=3)
+    cfg = SketchConfig()
     index = HeuristicIndex.from_sketch(sketch_df(corpus, cfg), n, min_count=args.min_count)
     t_index = time.time() - t0
     print(f"[scale] index built: {len(index)} heuristics in {t_index:.1f}s "
           f"(paper: <5 min)")
 
     t0 = time.time()
-    rows = corpus.select("sid", "label", "tokens").orderBy("sid").collect()
-    labels = np.array([r["label"] for r in rows], dtype=np.int64)
-    token_lists = [list(r["tokens"]) for r in rows]
-    if args.embedding == "word2vec":
-        vocab = emb.word2vec_embeddings(corpus, dim=32)
-    else:
-        vocab = emb.hashing_embeddings((t for ts in token_lists for t in ts), dim=32)
+    labels, token_lists = collect_corpus(corpus)
+    vocab = emb.hashing_embeddings((t for ts in token_lists for t in ts), dim=32)
     features = emb.combined_matrix(token_lists, vocab, 32)
     t_feat = time.time() - t0
     print(f"[scale] features: {features.nbytes / 2**20:.1f} MiB "

@@ -28,9 +28,9 @@ groups therefore interleave the same way whichever other groups share
 the tie. Under P = ∅ a tie holds every key of one count; under any P it
 holds the keys of one count and one overlap, a union of whole groups.
 The pop order for any P is thus the reachable keys sorted by
-(-overlap, -count, ``walk_rank``), where
-:attr:`~repro.index.inverted.HeuristicIndex.walk_rank` is the key's
-position in the walk for P = ∅ with no ``k`` and no cap.
+(-overlap, -count, rank), where a key's rank is its position in
+:attr:`~repro.index.inverted.HeuristicIndex.walk_order`, the walk for
+P = ∅ with no ``k`` and no cap.
 
 The caller keeps |C_k ∩ P| for every key up to date (one ``bincount``
 over the sentences a YES adds). Only keys overlapping P are sorted and
@@ -49,18 +49,16 @@ def generate_candidates(
     mask: np.ndarray,
     k: int,
     *,
+    overlaps: np.ndarray,
     max_duplicate_signature: int = 3,
-    overlaps: np.ndarray | None = None,
 ) -> list[str]:
     """Return up to ``k`` candidate heuristic keys (Algorithm 2) for P
-    given as a bool mask over sentences. ``overlaps`` is |C_k ∩ P| for
-    every index row when the caller keeps it; otherwise it is computed."""
-    if overlaps is None:
-        overlaps = index.overlaps(mask)
+    given as a bool mask over sentences, with ``overlaps`` its |C_k ∩ P|
+    for every index row."""
     walk = index.walk_order
     walk_overlaps = overlaps[walk]
     # Reachable keys overlapping P, in walk order; lexsort is stable, so
-    # walk_rank breaks the (-overlap, -count) ties.
+    # the position in the walk breaks the (-overlap, -count) ties.
     hit = walk[walk_overlaps > 0]
     hit = hit[np.lexsort((-index.counts[hit], -overlaps[hit]))]
     key_of, postings, offsets = index.key, index.postings, index.offsets

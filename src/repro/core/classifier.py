@@ -19,9 +19,9 @@ BoW bucket ids and values next to a dense embedding block. ``fit`` and
 ``np.bincount`` over the BoW ids and a dense BLAS matvec over the
 embedding block, so each epoch costs O(nonzeros + m·dim), not m·288.
 This is the dense logistic regression with a different summation order
-(weights and scores agree to a few 1e-16). A plain 2-D array is taken
-as the embedding block with an empty BoW block and one row per
-sentence, and for it the arithmetic is exactly the dense loop's.
+(weights and scores agree to a few 1e-16). With an empty BoW block
+(K = 0) and one row per sentence the arithmetic is exactly the dense
+loop's.
 
 Many sentences share a token sequence (directions: 845 distinct
 sequences for 15,300 sentences), and ``Features`` holds one row per
@@ -66,17 +66,13 @@ class EmbeddingClassifier:
     for the padding sentinel (always 0), then the embedding block's.
     """
 
-    def __init__(self, features: Features | np.ndarray, *, l2: float = 1e-2,
+    def __init__(self, features: Features, *, l2: float = 1e-2,
                  lr: float = 0.5, epochs: int = 200, seed: int = 0,
                  balance: bool = True, neg_ratio: float = 2.0):
         """``balance=True`` (search mode) weighs classes equally so the
         benefit scores are recall-oriented; ``balance=False`` with a
         larger ``neg_ratio`` (final-classifier mode) keeps the sampled
         prior so thresholding at 0.5 is precision-sane under imbalance."""
-        if not isinstance(features, Features):  # one row per sentence
-            dense = np.asarray(features)
-            empty = np.empty((len(dense), 0))
-            features = Features(empty.astype(np.int32), empty, dense, 0, np.arange(len(dense)))
         # float64 copies of the feature rows; sentence i has row self.row[i].
         # intp ids: take and bincount would convert int32 on every epoch.
         self.row = features.row
@@ -92,12 +88,6 @@ class EmbeddingClassifier:
         self.b = 0.0
         self._fitted = False
 
-    def _in_corpus(self, ids: np.ndarray, what: str) -> np.ndarray:
-        bad = ids[(ids < 0) | (ids >= self.n)]
-        if len(bad):
-            raise ValueError(f"{what} outside [0, {self.n}): {bad[:10].tolist()}")
-        return ids
-
     def _training_set(
         self, pos_ids: Iterable[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -107,7 +97,10 @@ class EmbeddingClassifier:
         by (feature row, label), in order of first appearance; ``sw`` is
         the merged row's sample weight, count·(its class weight).
         """
-        pos = self._in_corpus(np.fromiter(pos_ids, dtype=np.int64), "positive ids")
+        pos = np.fromiter(pos_ids, dtype=np.int64)
+        bad = pos[(pos < 0) | (pos >= self.n)]
+        if len(bad):
+            raise ValueError(f"positive ids outside [0, {self.n}): {bad[:10].tolist()}")
         if len(pos) == 0:
             raise ValueError("cannot fit with zero positive instances")
         is_pos = np.zeros(self.n, dtype=bool)
@@ -160,18 +153,14 @@ class EmbeddingClassifier:
         self.w, self.b, self._fitted = w, b, True
         return self
 
-    def scores(self, ids: np.ndarray | None = None) -> np.ndarray:
-        """P(positive) for every sentence (or the given ids, which must
-        lie in ``[0, n)``), computed once per distinct feature row."""
-        row = self.row
-        if ids is not None:
-            row = row[self._in_corpus(np.asarray(ids, dtype=np.int64), "ids")]
+    def scores(self) -> np.ndarray:
+        """P(positive) for every sentence, computed once per distinct
+        feature row."""
         if not self._fitted:
             # Untrained classifier = uninformative prior 0.5 (better-than-
             # random kicks in only after the first fit), matching §3.8's
             # "initial iterations" regime.
-            return np.full(len(row), 0.5)
+            return np.full(self.n, 0.5)
         logits = _logits(self.w, self.b, self.hash_dim + 1, self.bow_ids, self.bow_vals,
                          self.dense)
-        return _sigmoid(logits)[row]
-
+        return _sigmoid(logits)[self.row]

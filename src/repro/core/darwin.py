@@ -83,8 +83,6 @@ def run_darwin(
     overlaps = index.overlaps(mask)
     classifier.fit(np.flatnonzero(mask))
 
-    strat = STRATEGIES[strategy](seed_rule or "*")
-
     n_true_pos = int(true_labels.sum()) if true_labels is not None else None
     asked: set[str] = set(rules)
     history: list[dict] = []
@@ -96,14 +94,11 @@ def run_darwin(
                                overlaps=overlaps)
 
     hierarchy = rebuild()
-    # Prime the strategy with the seed's (known-YES) verdict so
-    # LocalSearch starts from the seed's neighborhood (Alg 3 line 3).
-    if seed_rule is not None:
-        strat.feedback(seed_rule, True, hierarchy)
-    else:
-        # Seeded from labeled sentences: the local neighborhood is the
-        # set of candidate rules with evidence on those sentences.
-        strat.prime(hierarchy.overlapping())
+    # LocalSearch starts from the seed's neighbourhood (Alg 3 line 3): the
+    # parents of the seed rule, a known YES, or the rules with evidence on
+    # the seed sentences.
+    start = hierarchy.parents(seed_rule) if seed_rule is not None else hierarchy.overlapping()
+    strat = STRATEGIES[strategy](*start)
     stale = False  # P changed: rebuild before the next query, never after the last
 
     for q in range(1, budget + 1):

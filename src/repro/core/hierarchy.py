@@ -32,14 +32,13 @@ class Hierarchy:
         mask: np.ndarray,
         *,
         scores: np.ndarray,
-        overlaps: np.ndarray | None = None,
+        overlaps: np.ndarray,
     ):
         self.index = index
         self.nodes: list[str] = list(nodes)
         self._node_set = set(self.nodes)
         self.mask = mask
-        # |C_k ∩ P| for every index row, computed when the caller keeps none.
-        self.overlaps = index.overlaps(mask) if overlaps is None else overlaps
+        self.overlaps = overlaps  # |C_k ∩ P| for every index row
         self.scores = scores
         # key → (benefit, avg benefit) under ``mask`` and ``scores``.
         self._benefits: dict[str, tuple[float, float]] = {}
@@ -52,13 +51,11 @@ class Hierarchy:
         mask: np.ndarray,
         *,
         scores: np.ndarray,
-        overlaps: np.ndarray | None = None,
+        overlaps: np.ndarray,
     ) -> "Hierarchy":
         """Arrange the candidates (index keys) that add new positives
         (the cleanup): a candidate whose overlap with P equals its count
         is dropped."""
-        if overlaps is None:
-            overlaps = index.overlaps(mask)
         rows = index.rows
         r = np.fromiter((rows[c] for c in candidates), dtype=np.int64, count=len(candidates))
         keep = (overlaps[r] < index.counts[r]).tolist()
@@ -95,9 +92,3 @@ class Hierarchy:
         if key in self._node_set:
             return [c for c in kids if c in self._node_set] or kids
         return kids
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._node_set
-
-    def __len__(self) -> int:
-        return len(self.nodes)

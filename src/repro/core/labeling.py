@@ -58,7 +58,7 @@ def label_matrix(index: HeuristicIndex, rules: list[str], n: int) -> np.ndarray:
 def apply_rules(
     corpus_df: DataFrame,
     rules: list[str],
-    cfg: SketchConfig | None = None,
+    cfg: SketchConfig = SketchConfig(),
 ) -> DataFrame:
     """Add one boolean column per rule plus ``weak_label`` (any fire).
 
@@ -66,7 +66,6 @@ def apply_rules(
     against every rule with the grammar's direct matcher. Output schema:
     ``sid, label, rule_0..rule_{m-1}, weak_label``.
     """
-    cfg = cfg or SketchConfig()
     rule_list = list(rules)
     cols = ", ".join(f"rule_{j} boolean" for j in range(len(rule_list)))
     schema = f"sid long, label int, {cols}, weak_label boolean"

@@ -27,7 +27,6 @@ class GroundTruthOracle:
     def __init__(self, labels: np.ndarray, *, threshold: float = 0.8):
         self.labels = np.asarray(labels, dtype=np.int64)
         self.threshold = threshold
-        self.calls = 0
 
     def precision(self, ids: Collection[int] | np.ndarray) -> float:
         idx = _as_ids(ids)
@@ -36,7 +35,6 @@ class GroundTruthOracle:
         return float(self.labels[idx].mean())
 
     def __call__(self, key: str, ids: Collection[int] | np.ndarray) -> bool:
-        self.calls += 1
         return self.precision(ids) >= self.threshold
 
 
@@ -55,10 +53,8 @@ class NoisyOracle:
         self.threshold = threshold
         self.sample_size = sample_size
         self._rng = np.random.default_rng(seed)
-        self.calls = 0
 
     def __call__(self, key: str, ids: Collection[int] | np.ndarray) -> bool:
-        self.calls += 1
         idx = _as_ids(ids)
         if len(idx) == 0:
             return False

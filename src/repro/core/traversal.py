@@ -8,13 +8,22 @@ positives — and the *average benefit* is the same sum divided by
 is ≤ 0.5 ("majority of the instances in C_r are expected to be
 negatives", Alg 4 line 8).
 
-Each strategy exposes ``select(hierarchy, asked)`` → key (or ``None``
-when out of moves) and ``feedback(key, yes, hierarchy)``. The hierarchy
-carries P and the classifier scores, and computes benefits
+A strategy is built from its start neighbourhood, ``cls(*start)``: the
+keys LocalSearch explores first (Alg 3 line 3). The Darwin driver passes
+the seed rule's parents, or the rules overlapping the seed sentences;
+the other strategies ignore it. Each strategy exposes
+``select(hierarchy, asked)`` → key (or ``None`` when out of moves) and
+``feedback(key, yes, hierarchy)``. The hierarchy carries P and the
+classifier scores, and computes benefits
 (:meth:`~repro.core.hierarchy.Hierarchy.benefit`).
 The Darwin driver owns the oracle budget and the asked-set.
 """
 from __future__ import annotations
+
+from repro.grammar import ROOT
+
+# τ (§3.6): HybridSearch switches mode once its consecutive NOs exceed it.
+TAU = 5
 
 
 def _argmax(keys, score_fn) -> str | None:
@@ -36,23 +45,19 @@ class LocalSearch:
     come from the index on the fly (§3.4 "Efficient Implementation").
     """
 
-    def __init__(self, seed_rule: str):
-        self.cands: set[str] = {seed_rule}
-
-    def prime(self, keys) -> None:
-        """Seed the neighborhood when Darwin starts from labeled
-        sentences instead of a seed rule (Alg 1's alternative input)."""
-        self.cands.update(keys)
+    def __init__(self, *start: str):
+        self.cands: set[str] = set(start)
 
     def select(self, hierarchy, asked) -> str | None:
-        pool = [k for k in self.cands if k not in asked and k != "*"]
+        # The root ('*', a unigram's parent) matches everything: never a rule.
+        pool = [k for k in self.cands if k not in asked and k != ROOT]
         if not pool:
             # Graph neighborhood exhausted (e.g. a unigram seed whose
             # only parent is the root): refill with candidates that are
             # local in *coverage* space — rules overlapping the
             # positives found so far.
             self.cands.update(k for k in hierarchy.overlapping() if k not in asked)
-            pool = [k for k in self.cands if k not in asked and k != "*"]
+            pool = [k for k in self.cands if k not in asked and k != ROOT]
             if not pool:
                 return None
         return _argmax(pool, lambda k: hierarchy.benefit(k)[0])
@@ -62,15 +67,22 @@ class LocalSearch:
         self.cands.update(hierarchy.parents(key) if yes else hierarchy.children(key))
 
 
-class UniversalSearch:
+class _Stateless:
+    """A strategy that ignores its start neighbourhood and the answers."""
+
+    def __init__(self, *start: str):
+        pass
+
+    def feedback(self, key, yes, hierarchy) -> None:
+        pass
+
+
+class UniversalSearch(_Stateless):
     """Algorithm 4: global argmax-benefit over the whole hierarchy,
     filtered by average benefit > 0.5. When the filter empties the pool
     we fall back to the unfiltered argmax so the budget is spent on
     oracle queries rather than silently burned (deviation from the
     pseudocode's query-count-on-skip; noted in EXPERIMENTS.md)."""
-
-    def __init__(self, seed_rule: str):
-        self.seed = seed_rule
 
     def select(self, hierarchy, asked) -> str | None:
         pool = [k for k in hierarchy.nodes if k not in asked]
@@ -88,27 +100,17 @@ class UniversalSearch:
 
         return _argmax(pool, avg_then_benefit)
 
-    def prime(self, keys) -> None:
-        pass
-
-    def feedback(self, key, yes, hierarchy) -> None:  # stateless
-        pass
-
 
 class HybridSearch:
-    """Algorithm 5: start in universal mode; after τ consecutive
-    unsuccessful attempts switch modes, resetting the counter (τ=5 by
-    default, §3.6). A YES resets the failure counter."""
+    """Algorithm 5: start in universal mode; when the consecutive
+    unsuccessful attempts exceed ``TAU``, switch modes and reset the
+    counter (§3.6). A YES resets the failure counter."""
 
-    def __init__(self, seed_rule: str, *, tau: int = 5):
-        self.local = LocalSearch(seed_rule)
-        self.universal = UniversalSearch(seed_rule)
+    def __init__(self, *start: str):
+        self.local = LocalSearch(*start)
+        self.universal = UniversalSearch()
         self.universal_mode = True
-        self.tau = tau
         self.attempt = 0
-
-    def prime(self, keys) -> None:
-        self.local.prime(keys)
 
     def _mode(self):
         return self.universal if self.universal_mode else self.local
@@ -122,29 +124,22 @@ class HybridSearch:
         return q
 
     def feedback(self, key, yes, hierarchy) -> None:
-        # Both sub-strategies observe every answer so a mode switch
-        # resumes from an informed state.
+        # LocalSearch observes every answer so a mode switch resumes
+        # from an informed state.
         self.local.feedback(key, yes, hierarchy)
-        self.universal.feedback(key, yes, hierarchy)
         if yes:
             self.attempt = 0
         else:
             self.attempt += 1
-            if self.attempt > self.tau:
+            if self.attempt > TAU:
                 self.universal_mode = not self.universal_mode
                 self.attempt = 0
 
 
-class HighP:
+class HighP(_Stateless):
     """§4.3 baseline: query the rule the classifier deems most precise
     (max mean score over its full coverage set) — tends to pick rules
     with very small coverage, as the paper observes."""
-
-    def __init__(self, seed_rule: str):
-        pass
-
-    def prime(self, keys) -> None:
-        pass
 
     def select(self, hierarchy, asked) -> str | None:
         pool = [k for k in hierarchy.nodes if k not in asked]
@@ -157,21 +152,14 @@ class HighP:
 
         return _argmax(pool, expected_precision)
 
-    def feedback(self, key, yes, hierarchy) -> None:
-        pass
 
-
-class HighC:
+class HighC(_Stateless):
     """§4.3 baseline: query the maximum-coverage rule "irrespective of
     their expected precision" — over the *whole index*, not Darwin's
     curated candidates. Its suggestions are mostly rejected by the
     oracle, which is why the paper omits it from the plots."""
 
-    def __init__(self, seed_rule: str):
-        self._order: list[str] | None = None
-
-    def prime(self, keys) -> None:
-        pass
+    _order: list[str] | None = None
 
     def select(self, hierarchy, asked) -> str | None:
         if self._order is None:
@@ -181,9 +169,6 @@ class HighC:
             if k not in asked:
                 return k
         return None
-
-    def feedback(self, key, yes, hierarchy) -> None:
-        pass
 
 
 STRATEGIES = {

@@ -45,24 +45,35 @@ class Prepared:
         return EmbeddingClassifier(self.features, seed=seed, **kwargs)
 
 
+def collect_corpus(corpus: DataFrame) -> tuple[np.ndarray, list[list[str]]]:
+    """The corpus' labels and token lists, sid-ordered.
+
+    Collected through Arrow in whatever order Spark returns the rows and
+    sorted by sid on the driver. Raises a ``ValueError`` unless the sids
+    are exactly ``0..n-1``.
+    """
+    table = corpus.select("sid", "label", "tokens").toArrow()
+    sid = table.column("sid").to_numpy()
+    order = np.argsort(sid)
+    if not np.array_equal(sid[order], np.arange(len(sid))):
+        raise ValueError(f"corpus sids are not 0..{len(sid) - 1}")
+    labels = table.column("label").to_numpy()[order].astype(np.int64)
+    token_lists = table.column("tokens").take(order).to_pylist()
+    return labels, token_lists
+
+
 def prepare(
     spark: SparkSession,
     spec: CorpusSpec,
     *,
-    cfg: SketchConfig | None = None,
+    cfg: SketchConfig = SketchConfig(),
     min_count: int = 2,
 ) -> Prepared:
     """Build and collect all per-corpus artifacts (see module docstring)."""
-    cfg = cfg or SketchConfig(max_len=5)
     corpus = build_corpus(spark, spec).cache()
 
     index = HeuristicIndex.from_sketch(sketch_df(corpus, cfg), spec.n, min_count=min_count)
-
-    rows = (
-        corpus.select("sid", "label", "tokens").orderBy("sid").collect()
-    )
-    labels = np.array([r["label"] for r in rows], dtype=np.int64)
-    token_lists = [list(r["tokens"]) for r in rows]
+    labels, token_lists = collect_corpus(corpus)
 
     vocab = emb.word2vec_embeddings(corpus)
     features = emb.combined_matrix(token_lists, vocab, emb.DEFAULT_DIM)

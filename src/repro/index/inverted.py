@@ -19,7 +19,7 @@ Two layers:
    :meth:`HeuristicIndex.overlaps_of` gives |C_k ∩ S| for every key by
    one ``bincount`` over the forward rows of the sentences in S, so the
    search loop keeps |C_k ∩ P| up to date by adding the counts of only
-   the sentences a YES newly covers. ``walk_order`` / ``walk_rank`` fix
+   the sentences a YES newly covers. ``walk_order`` fixes
    Algorithm 2's tie order once per index (see
    :mod:`repro.core.candidates`). The interactive search loop
    (Algorithms 2–5) navigates this structure; Spark is the machinery
@@ -98,8 +98,6 @@ class HeuristicIndex:
         for kids in self._children.values():
             kids.sort()  # determinism
         self.walk_order = self._walk()
-        self.walk_rank = np.full(len(keys), -1, dtype=np.int32)
-        self.walk_rank[self.walk_order] = np.arange(len(self.walk_order), dtype=np.int32)
 
     def _walk(self) -> np.ndarray:
         """Rows in the order Algorithm 2's walk pops them for P = ∅ with

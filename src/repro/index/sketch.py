@@ -24,7 +24,7 @@ from repro.grammar.base import grammar
 class SketchConfig:
     """Bounds on the derivation depth per grammar (paper: depth ≤ 10)."""
 
-    max_len: int = 4          # TokensRegex n-gram length bound
+    max_len: int = 5          # TokensRegex n-gram length bound
     max_gap: int = 3          # TokensRegex 'a * b' gap bound; 0 disables gaps
     use_treematch: bool = False
 
@@ -39,9 +39,8 @@ def sentence_sketch(
     return out
 
 
-def sketch_df(corpus_df: DataFrame, cfg: SketchConfig | None = None) -> DataFrame:
+def sketch_df(corpus_df: DataFrame, cfg: SketchConfig = SketchConfig()) -> DataFrame:
     """Explode the corpus into ``(sid, key)`` sketch rows."""
-    cfg = cfg or SketchConfig()
 
     def _explode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
@@ -61,10 +60,10 @@ def sketch_df(corpus_df: DataFrame, cfg: SketchConfig | None = None) -> DataFram
 
 
 def matches_sentence(
-    key: str, tokens: list[str], tags: list[str], parents: list[int], cfg: SketchConfig | None = None
+    key: str, tokens: list[str], tags: list[str], parents: list[int],
+    cfg: SketchConfig = SketchConfig(),
 ) -> bool:
     """Direct (index-free) evaluation of any grammar's key — rule application."""
-    cfg = cfg or SketchConfig()
     if key == ROOT:
         return True
     return grammar(key).matches(key, tokens, tags, parents, cfg.max_gap)

@@ -53,17 +53,9 @@ class LabelModel:
         self._posterior = q
         return self
 
-    def predict_proba(self, L: np.ndarray | None = None) -> np.ndarray:
-        """Posterior P(y=1 | votes) per sentence."""
-        if L is None:
-            return self._posterior
-        L = np.asarray(L, dtype=float)
-        log1 = np.log(self.pi) + L @ np.log(self.p1) + (1 - L) @ np.log(1 - self.p1)
-        log0 = np.log1p(-self.pi) + L @ np.log(self.p0) + (1 - L) @ np.log(1 - self.p0)
-        return 1.0 / (1.0 + np.exp(np.clip(log0 - log1, -30, 30)))
-
-    def predict(self, L: np.ndarray | None = None, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(L) >= threshold).astype(np.int64)
+    def predict_proba(self) -> np.ndarray:
+        """Posterior P(y=1 | votes) per sentence of the fitted matrix."""
+        return self._posterior
 
 
 def majority_vote(L: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ Two providers with one interface (``dict[word] -> np.ndarray``):
   vectors ('bus' → 'public transport', §3).
 - :func:`hashing_embeddings` — deterministic per-word Gaussian vectors
   from a hash; no semantics, but instant and dependency-free. Used by
-  the 1M-sentence job (``jobs/scale_1m.py``, its default) and by unit
-  tests where only the plumbing is under test.
+  the 1M-sentence job (``jobs/scale_1m.py``) and by unit tests where
+  only the plumbing is under test.
 
 Sentence features are computed on the driver by
 :func:`combined_matrix`: a hashed bag of words next to the sentence

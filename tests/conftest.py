@@ -10,8 +10,17 @@ import numpy as np
 import pytest
 
 from repro.corpora.datasets import directions, musicians, tweets
-from repro.eval.pipeline import prepare
+from repro.eval.pipeline import collect_corpus, prepare
 from repro.index.inverted import HeuristicIndex
+from repro.text.embeddings import Features
+
+
+def dense_features(X) -> Features:
+    """A 2-D array as :class:`Features`: the embedding block, an empty BoW
+    block (K = 0, hash_dim 0) and one row per sentence."""
+    dense = np.asarray(X)
+    empty = np.empty((len(dense), 0))
+    return Features(empty.astype(np.int32), empty, dense, 0, np.arange(len(dense)))
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +32,7 @@ def prep_directions(spark):
 @pytest.fixture(scope="session")
 def directions_tokens(prep_directions) -> list[list[str]]:
     """prep_directions' token lists, sid-ordered."""
-    rows = prep_directions.corpus_df.select("tokens").orderBy("sid").collect()
-    return [list(r["tokens"]) for r in rows]
+    return collect_corpus(prep_directions.corpus_df)[1]
 
 
 @pytest.fixture(scope="session")

@@ -89,16 +89,22 @@ def _positive_sets(prep) -> dict[str, set[int]]:
     }
 
 
+def _generate(index, positives, k, **kwargs):
+    """``generate_candidates`` for P = ``positives``, overlaps counted afresh."""
+    mask = index.mask(positives)
+    return generate_candidates(index, mask, k, overlaps=index.overlaps(mask), **kwargs)
+
+
 def _assert_same(index, positives: set[int]) -> None:
     ref_index = SetIndex(index)
     mask = index.mask(positives)
+    overlaps = index.overlaps(mask)
     scores = np.full(index.n_sentences, 0.5)
     for k in (3, 500):
         want = reference_generate_candidates(ref_index, positives, k)
-        assert generate_candidates(index, mask, k) == want
-        assert Hierarchy.build(index, want, mask, scores=scores).nodes == reference_cleanup(
-            ref_index, want, positives
-        )
+        assert generate_candidates(index, mask, k, overlaps=overlaps) == want
+        h = Hierarchy.build(index, want, mask, scores=scores, overlaps=overlaps)
+        assert h.nodes == reference_cleanup(ref_index, want, positives)
 
 
 @pytest.mark.parametrize("positives", [set(), {2, 3}, {2, 3, 4, 7}, set(range(10)), {9}])
@@ -124,9 +130,8 @@ def test_diversity_cap_matches_reference():
     idx = HeuristicIndex(cov, n_sentences=4)
     for cap in (0, 1, 2, 6):
         for positives in (set(), {0}, {0, 1, 2}):
-            assert generate_candidates(
-                idx, idx.mask(positives), 10, max_duplicate_signature=cap
-            ) == reference_generate_candidates(
+            assert _generate(idx, positives, 10, max_duplicate_signature=cap) == \
+                reference_generate_candidates(
                 SetIndex(idx), positives, 10, max_duplicate_signature=cap
             )
 
@@ -157,12 +162,20 @@ def _pop_order(index, positives):
     )
 
 
+def _walk_rank(index) -> np.ndarray:
+    """Each row's position in ``walk_order``; -1 for a key the walk never reaches."""
+    rank = np.full(len(index), -1)
+    rank[index.walk_order] = np.arange(len(index.walk_order))
+    return rank
+
+
 def _sorted_by_walk_rank(index, positives):
-    """The reachable keys sorted by (-overlap, -count, walk_rank)."""
+    """The reachable keys sorted by (-overlap, -count, walk rank)."""
     overlaps = index.overlaps(index.mask(positives))
-    reachable = [k for k in index.keys() if index.walk_rank[index.rows[k]] >= 0]
+    rank = _walk_rank(index)
+    reachable = [k for k in index.keys() if rank[index.rows[k]] >= 0]
     return sorted(reachable, key=lambda k: (-overlaps[index.rows[k]], -index.count(k),
-                                            index.walk_rank[index.rows[k]]))
+                                            rank[index.rows[k]]))
 
 
 def test_walk_rank_breaks_ties_as_the_walk_does():
@@ -175,20 +188,19 @@ def test_walk_rank_breaks_ties_as_the_walk_does():
     idx = HeuristicIndex({"tr:b": [0, 1, 2], "tr:a b": [0, 1, 2], "tr:c": [0, 1, 2],
                           "tr:d": [5], "tr:z": [3, 4], "tr:x y": [0, 3]}, n_sentences=6)
     assert [idx.key(r) for r in idx.walk_order] == ["tr:b", "tr:a b", "tr:c", "tr:z", "tr:d"]
-    assert idx.walk_rank[idx.rows["tr:x y"]] == -1
+    assert _walk_rank(idx)[idx.rows["tr:x y"]] == -1
     for positives in (set(), {0}, {3}, {0, 3, 5}, set(range(6))):
         want = _pop_order(idx, positives)
         assert "tr:x y" not in want
         assert _sorted_by_walk_rank(idx, positives) == want
-        mask = idx.mask(positives)
         for k in (0, 1, 2, 3, 10):
             for cap in (0, 1, 2, 3):
-                assert generate_candidates(idx, mask, k, max_duplicate_signature=cap) == \
+                assert _generate(idx, positives, k, max_duplicate_signature=cap) == \
                     reference_generate_candidates(SetIndex(idx), positives, k,
                                                   max_duplicate_signature=cap)
-    assert generate_candidates(idx, idx.mask({0}), 0) == []
-    assert generate_candidates(idx, idx.mask({0}), 10, max_duplicate_signature=0) == []
-    assert generate_candidates(idx, idx.mask({0}), 3) == ["tr:b", "tr:a b", "tr:c"]
+    assert _generate(idx, {0}, 0) == []
+    assert _generate(idx, {0}, 10, max_duplicate_signature=0) == []
+    assert _generate(idx, {0}, 3) == ["tr:b", "tr:a b", "tr:c"]
 
 
 def test_walk_order_on_random_toy_indexes():
@@ -203,8 +215,7 @@ def test_walk_order_on_random_toy_indexes():
                           set(pick.choice(n, 3, replace=False).tolist()),
                           set(pick.choice(n, n // 2, replace=False).tolist())):
             assert _sorted_by_walk_rank(index, positives) == _pop_order(index, positives), i
-            mask = index.mask(positives)
             for k, cap in ((5, 3), (40, 1), (500, 3)):
-                assert generate_candidates(index, mask, k, max_duplicate_signature=cap) == \
+                assert _generate(index, positives, k, max_duplicate_signature=cap) == \
                     reference_generate_candidates(SetIndex(index), positives, k,
                                                   max_duplicate_signature=cap), (i, k, cap)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.classifier import EmbeddingClassifier, _logits, _sigmoid
 from repro.text.embeddings import Features
+from tests.conftest import dense_features
 from tests.test_embeddings import densify
 
 # The layout sums X·w and rᵀX in another order than the dense loop. In
@@ -98,15 +99,19 @@ def _separable(n=200, d=8, seed=0):
     return X, y
 
 
+def _clf(X, **kwargs):
+    return EmbeddingClassifier(dense_features(X), **kwargs)
+
+
 def test_unfitted_scores_are_half():
     X, _ = _separable()
-    clf = EmbeddingClassifier(X)
+    clf = _clf(X)
     assert np.allclose(clf.scores(), 0.5)
 
 
 def test_fit_separable_data():
     X, y = _separable()
-    clf = EmbeddingClassifier(X, seed=1)
+    clf = _clf(X, seed=1)
     # About half the 200 sentences are positive: the sample holds every negative.
     clf.fit(set(np.nonzero(y)[0].tolist()))
     acc = ((clf.scores() >= 0.5) == y).mean()
@@ -115,7 +120,7 @@ def test_fit_separable_data():
 
 def test_fit_with_sampled_negatives():
     X, y = _separable(n=400)
-    clf = EmbeddingClassifier(X, seed=2)
+    clf = _clf(X, seed=2)
     clf.fit(set(np.nonzero(y)[0].tolist()))
     assert ((clf.scores() >= 0.5) == y).mean() > 0.85
 
@@ -123,22 +128,14 @@ def test_fit_with_sampled_negatives():
 def test_fit_requires_positives():
     X, _ = _separable()
     with pytest.raises(ValueError):
-        EmbeddingClassifier(X).fit(set())
-
-
-def test_scores_subset():
-    X, y = _separable()
-    clf = EmbeddingClassifier(X, seed=0)
-    clf.fit(set(np.nonzero(y)[0].tolist()))
-    ids = np.array([0, 5, 9])
-    assert np.allclose(clf.scores(ids), clf.scores()[ids])
+        _clf(X).fit(set())
 
 
 def test_determinism_same_seed():
     X, y = _separable()
     pos = set(np.nonzero(y)[0].tolist())
-    a = EmbeddingClassifier(X, seed=3).fit(pos).scores()
-    b = EmbeddingClassifier(X, seed=3).fit(pos).scores()
+    a = _clf(X, seed=3).fit(pos).scores()
+    b = _clf(X, seed=3).fit(pos).scores()
     assert np.allclose(a, b)
 
 
@@ -149,14 +146,14 @@ def test_balance_flag_changes_decision_rate():
     X = rng.standard_normal((1000, 6))
     y = (X[:, 0] + 0.5 * rng.standard_normal(1000) > 1.8).astype(int)  # ~4% positives
     pos = set(np.nonzero(y)[0].tolist())
-    bal = EmbeddingClassifier(X, seed=5, balance=True).fit(pos)
-    unbal = EmbeddingClassifier(X, seed=5, balance=False, neg_ratio=6.0).fit(pos)
+    bal = _clf(X, seed=5, balance=True).fit(pos)
+    unbal = _clf(X, seed=5, balance=False, neg_ratio=6.0).fit(pos)
     assert (unbal.scores() >= 0.5).sum() <= (bal.scores() >= 0.5).sum()
 
 
 def test_scores_are_probabilities():
     X, y = _separable()
-    clf = EmbeddingClassifier(X, seed=0).fit(set(np.nonzero(y)[0].tolist()))
+    clf = _clf(X, seed=0).fit(set(np.nonzero(y)[0].tolist()))
     s = clf.scores()
     assert s.min() >= 0.0 and s.max() <= 1.0
 
@@ -164,7 +161,7 @@ def test_scores_are_probabilities():
 def test_fit_when_positives_cover_everything():
     # No negatives can be sampled: the fit skips class weighting.
     X, _ = _separable(n=10)
-    clf = EmbeddingClassifier(X).fit(set(range(10)))
+    clf = _clf(X).fit(set(range(10)))
     assert np.all(clf.scores() > 0.5)
 
 
@@ -172,25 +169,25 @@ def test_fit_rejects_ids_outside_the_corpus():
     X, _ = _separable(n=20)
     for bad in ([-1], [3, 20], [25]):
         with pytest.raises(ValueError, match=re.escape(f"): [{bad[-1]}]")):
-            EmbeddingClassifier(X).fit(bad)
+            _clf(X).fit(bad)
 
 
 def test_fit_counts_repeated_ids_once():
     X, y = _separable()
     pos = np.flatnonzero(y)[::-1]
-    once = EmbeddingClassifier(X, seed=4).fit(pos.tolist())
-    twice = EmbeddingClassifier(X, seed=4).fit(np.concatenate([pos, pos[:7]]).tolist())
+    once = _clf(X, seed=4).fit(pos.tolist())
+    twice = _clf(X, seed=4).fit(np.concatenate([pos, pos[:7]]).tolist())
     assert np.array_equal(once.w, twice.w) and once.b == twice.b
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"balance": False, "neg_ratio": 6.0}])
 @pytest.mark.parametrize("n_pos", [1, 40, 200])
 def test_plain_matrix_is_the_dense_loop_exactly(kwargs, n_pos):
-    """A 2-D array is the layout with no BoW block: same arithmetic, same bits."""
+    """Features with no BoW block (K = 0) run the dense loop: same arithmetic, same bits."""
     X, y = _separable()
     pos = np.flatnonzero(y)[:n_pos] if n_pos < 200 else np.arange(200)
     w, b, s = _reference_fit(X, pos.tolist(), seed=7, **kwargs)
-    clf = EmbeddingClassifier(X, seed=7, **kwargs).fit(pos.tolist())
+    clf = _clf(X, seed=7, **kwargs).fit(pos.tolist())
     assert np.array_equal(_dense_weights(clf), w) and clf.b == b
     assert np.array_equal(clf.scores(), s)
 
@@ -207,16 +204,6 @@ def test_layout_matches_dense_reference(prep_directions):
         assert abs(clf.b - b) <= LAYOUT_TOL
         assert np.abs(clf.scores() - s).max() <= LAYOUT_TOL
         assert clf.w[clf.hash_dim] == 0.0  # the padding sentinel never trains
-
-
-def test_scores_reject_ids_outside_the_corpus():
-    X, y = _separable(n=20)
-    unfitted = EmbeddingClassifier(X)
-    fitted = EmbeddingClassifier(X).fit(np.flatnonzero(y).tolist())
-    for clf in (unfitted, fitted):
-        for bad in ([-1], [3, 20], [25]):
-            with pytest.raises(ValueError, match=re.escape(f"): [{bad[-1]}]")):
-                clf.scores(bad)
 
 
 def _hand_built(row):
@@ -273,16 +260,16 @@ def test_degenerate_features():
         clf.fit([0])
 
     # No columns at all: every sentence scores the bias alone.
-    blank = EmbeddingClassifier(np.zeros((6, 0)))
+    blank = _clf(np.zeros((6, 0)))
     s = blank.fit([1]).scores()
     assert len(s) == 6 and len(set(s.tolist())) == 1
 
-    # A plain matrix (K = 0) with repeated rows: the dense loop's result.
+    # No BoW block (K = 0) and repeated rows: the dense loop's result.
     X, y = _separable(n=40)
     X = np.concatenate([X, X[::2]])
     pos = np.flatnonzero(np.concatenate([y, y[::2]]))
     w, b, s = _reference_fit(X, pos.tolist(), seed=3)
-    clf = EmbeddingClassifier(X, seed=3).fit(pos.tolist())
+    clf = _clf(X, seed=3).fit(pos.tolist())
     assert np.abs(_dense_weights(clf) - w).max() <= LAYOUT_TOL and abs(clf.b - b) <= LAYOUT_TOL
     assert np.abs(clf.scores() - s).max() <= LAYOUT_TOL
 

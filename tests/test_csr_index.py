@@ -52,9 +52,11 @@ def test_mask_from_ids(toy_index):
 def test_empty_index():
     idx = HeuristicIndex({}, n_sentences=4)
     assert len(idx) == 0 and idx.keys() == []
-    assert idx.overlaps(idx.mask({1})).tolist() == []
-    assert generate_candidates(idx, idx.mask({1}), 10) == []
-    assert Hierarchy.build(idx, [], idx.mask({1}), scores=np.full(4, 0.5)).nodes == []
+    mask = idx.mask({1})
+    overlaps = idx.overlaps(mask)
+    assert overlaps.tolist() == []
+    assert generate_candidates(idx, mask, 10, overlaps=overlaps) == []
+    assert Hierarchy.build(idx, [], mask, scores=np.full(4, 0.5), overlaps=overlaps).nodes == []
     assert idx.coverage(ROOT) == frozenset(range(4))
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.darwin import run_darwin
 from repro.core.oracle_sim import GroundTruthOracle, NoisyOracle
 from repro.eval.metrics import coverage_of_ids, precision_of_ids
+from tests.conftest import dense_features
 
 
 def _run(prep, strategy, budget=60, **kw):
@@ -163,7 +164,7 @@ def test_seed_rule_covering_corpus_runs():
     X = np.random.default_rng(0).standard_normal((10, 4))
     res = run_darwin(
         idx,
-        EmbeddingClassifier(X),
+        EmbeddingClassifier(dense_features(X)),
         GroundTruthOracle(np.ones(10, dtype=np.int64)),
         seed_rule="tr:a",
         budget=5,
@@ -194,7 +195,7 @@ def _assert_session_invariants(res, index, budget, oracle_labels, seed_rule=None
 def _toy_classifier():
     from repro.core.classifier import EmbeddingClassifier
 
-    return EmbeddingClassifier(np.random.default_rng(0).standard_normal((10, 4)))
+    return EmbeddingClassifier(dense_features(np.random.default_rng(0).standard_normal((10, 4))))
 
 
 def test_empty_index_runs():

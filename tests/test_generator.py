@@ -87,3 +87,17 @@ def test_annotate_tokens_match_driver_tokenizer(spark):
     df = build_corpus(spark, SPEC.with_n(40))
     for r in df.orderBy("sid").collect():
         assert list(r["tokens"]) == word_tokens(r["text"])
+
+
+def test_collect_corpus_orders_by_sid_and_rejects_gaps(spark):
+    from repro.eval.pipeline import collect_corpus
+    from repro.text.tokenizer import word_tokens
+
+    pdf = generate_pandas(SPEC.with_n(40))
+    df = build_corpus(spark, SPEC.with_n(40))
+    labels, tokens = collect_corpus(df.orderBy(df.sid.desc()))
+    assert labels.dtype == np.int64 and labels.tolist() == pdf.label.tolist()
+    assert tokens == [word_tokens(t) for t in pdf.text]
+    for bad in (df.filter("sid != 7"), df.union(df.limit(1))):
+        with pytest.raises(ValueError, match="sids are not 0"):
+            collect_corpus(bad)

@@ -15,6 +15,7 @@ from repro.core.oracle_sim import GroundTruthOracle
 from repro.core.traversal import STRATEGIES
 from repro.grammar import tokensregex
 from repro.index.inverted import HeuristicIndex
+from tests.conftest import dense_features
 from tests.test_darwin_e2e import _assert_session_invariants
 
 N_INDEXES = 50
@@ -34,7 +35,7 @@ def _toy_corpus(rng: np.random.Generator):
             coverage.setdefault(key, []).append(sid)
     min_count = int(rng.integers(1, 3))
     coverage = {k: ids for k, ids in sorted(coverage.items()) if len(ids) >= min_count}
-    features = rng.standard_normal((n, 4)) + labels[:, None]
+    features = dense_features(rng.standard_normal((n, 4)) + labels[:, None])
     return HeuristicIndex(coverage, n), labels, features
 
 

@@ -23,12 +23,6 @@ def test_precision_helper():
     assert o.precision([0, 4]) == pytest.approx(0.5)
 
 
-def test_call_counting():
-    o = GroundTruthOracle(LABELS)
-    o("a", [0]); o("b", [1])
-    assert o.calls == 2
-
-
 def test_custom_threshold():
     o = GroundTruthOracle(LABELS, threshold=0.5)
     assert o("r", [0, 1, 4, 5]) is True  # 0.5 ≥ 0.5

@@ -129,8 +129,8 @@ def test_index_independent_of_shuffle_partitions(spark, small_sketch):
     np.testing.assert_array_equal(a.postings, b.postings)
     np.testing.assert_array_equal(a.sentence_offsets, b.sentence_offsets)
     np.testing.assert_array_equal(a.sentence_rows, b.sentence_rows)
-    np.testing.assert_array_equal(a.walk_rank, b.walk_rank)
-    assert (a.walk_rank >= 0).all()  # every key of a sketched index is reachable
+    np.testing.assert_array_equal(a.walk_order, b.walk_order)
+    assert len(a.walk_order) == len(a)  # every key of a sketched index is reachable
     for key in a.keys():
         assert (np.diff(a.ids(key)) > 0).all(), key
 

@@ -3,7 +3,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.corpora.datasets import ALL_DATASETS, PAPER_TABLE1
-from repro.corpora.generator import build_corpus
+from repro.corpora.generator import generate_pandas
 from repro.eval.experiments import table1
 from repro.oracle import assert_equivalent
 
@@ -34,8 +34,9 @@ def test_sentence_counts(t1):
 
 
 def test_stats_vs_duckdb(spark):
-    """The Spark stats aggregation agrees with DuckDB on the same corpus."""
-    corpus = build_corpus(spark, ALL_DATASETS["tweets"]().with_n(800))
+    """The Spark stats aggregation agrees with DuckDB on the frame
+    ``table1`` aggregates: the generated, unannotated sentences."""
+    corpus = spark.createDataFrame(generate_pandas(ALL_DATASETS["tweets"]().with_n(800)))
     got = corpus.agg(
         F.count("sid").alias("sentences"),
         F.sum("label").alias("n_pos"),

@@ -34,8 +34,10 @@ P = ∅ with no ``k`` and no cap.
 
 The caller keeps |C_k ∩ P| for every key up to date (one ``bincount``
 over the sentences a YES adds). Only keys overlapping P are sorted and
-have their signatures computed; the zero-overlap keys all share the
-empty signature, so at most the cap of them is taken, in walk order.
+have their signatures computed, all at once from the forward rows of
+P's sentences, so the work is Σ|C_k ∩ P| rather than Σ|C_k|; the
+zero-overlap keys all share the empty signature, so at most the cap of
+them is taken, in walk order.
 """
 from __future__ import annotations
 
@@ -61,15 +63,23 @@ def generate_candidates(
     # the position in the walk breaks the (-overlap, -count) ties.
     hit = walk[walk_overlaps > 0]
     hit = hit[np.lexsort((-index.counts[hit], -overlaps[hit]))]
-    key_of, postings, offsets = index.key, index.postings, index.offsets
+    # C_k ∩ P for every key at once, from the forward rows of P's
+    # sentences: a stable sort by row keeps each key's ids ascending, and
+    # the overlaps give where each key's ids end. Rows in the smallest
+    # unsigned type: numpy's stable sort is a radix sort up to 16 bits.
+    positives = np.flatnonzero(mask).astype(np.int32)
+    rows, lens = index.forward_rows(positives)
+    order = np.argsort(rows.astype(np.min_scalar_type(len(overlaps))), kind="stable")
+    by_row = np.repeat(positives, lens)[order]
+    ends = np.cumsum(overlaps)
+    key_of = index.key
     results: list[str] = []
     # Signature: the key's positive ids (sorted int32) as bytes.
     sig_count: dict[bytes, int] = {}
     for r in hit.tolist():
         if len(results) >= k:
             return results
-        ids = postings[offsets[r]:offsets[r + 1]]
-        sig = ids[mask[ids]].tobytes()
+        sig = by_row[ends[r] - overlaps[r]:ends[r]].tobytes()
         seen = sig_count.get(sig, 0)
         if seen >= max_duplicate_signature:
             continue  # diversity cap: skip near-duplicate candidates

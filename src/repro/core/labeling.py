@@ -1,26 +1,24 @@
 """Weak-label production: apply discovered rules to a corpus.
 
-Two paths with identical semantics:
-
 - :func:`label_matrix` — driver-side (n × m) boolean matrix from the
   index's inverted lists, consumed by the snorkel-lite label model;
-- :func:`apply_rules` — distributed rule application over the
-  (annotated) corpus DataFrame with ``mapInPandas``, which adds the
-  weak-label columns to the corpus on the executors (the 1M-sentence
-  profession job) and serves tests as an independent check of the
-  index's inverted lists. Every Darwin rule is an indexed key, so both
-  paths fire on the same sentences.
+- :func:`apply_rules` — rule application over the (annotated) corpus
+  DataFrame as one Spark SQL projection: every rule compiled to a
+  boolean column over ``tokens``, ``tags`` and ``parents``, with no
+  Python worker (the 1M-sentence profession job). It never reads the
+  index, so it is also an independent check of the index's inverted
+  lists: every Darwin rule is an indexed key, and both fire on the same
+  sentences.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
+from repro.grammar.base import column
 from repro.index.inverted import HeuristicIndex
-from repro.index.sketch import SketchConfig, matches_sentence
+from repro.index.sketch import SketchConfig
 
 
 def dedupe_rules(index: HeuristicIndex, rules: list[str]) -> list[str]:
@@ -62,33 +60,14 @@ def apply_rules(
 ) -> DataFrame:
     """Add one boolean column per rule plus ``weak_label`` (any fire).
 
-    Rules ride to executors in the closure; each sentence is evaluated
-    against every rule with the grammar's direct matcher. Output schema:
-    ``sid, label, rule_0..rule_{m-1}, weak_label``.
+    Each rule is compiled on the driver to a Spark SQL column
+    (:func:`repro.grammar.base.column`), so the executors run no Python.
+    A key that cannot be compiled raises a ``ValueError`` naming it,
+    here. With no rules, ``weak_label`` is false everywhere. Output
+    schema: ``sid, label, rule_0..rule_{m-1}, weak_label``.
     """
-    rule_list = list(rules)
-    cols = ", ".join(f"rule_{j} boolean" for j in range(len(rule_list)))
-    schema = f"sid long, label int, {cols}, weak_label boolean"
-
-    def _apply(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            out = {"sid": pdf["sid"].astype("int64"), "label": pdf["label"]}
-            fired = np.zeros(len(pdf), dtype=bool)
-            for j, rule in enumerate(rule_list):
-                col = np.array(
-                    [
-                        matches_sentence(
-                            rule, list(t), list(g), [int(p) for p in pr], cfg
-                        )
-                        for t, g, pr in zip(pdf["tokens"], pdf["tags"], pdf["parents"])
-                    ],
-                    dtype=bool,
-                )
-                out[f"rule_{j}"] = col
-                fired |= col
-            out["weak_label"] = fired
-            yield pd.DataFrame(out)
-
-    return corpus_df.select("sid", "label", "tokens", "tags", "parents").mapInPandas(
-        _apply, schema=schema
-    )
+    names = [f"rule_{j}" for j in range(len(rules))]
+    fired = [column(rule, cfg.max_gap).alias(name) for rule, name in zip(rules, names)]
+    # Only our own column names enter this SQL text.
+    weak = F.expr(" OR ".join(names) or "false")
+    return corpus_df.select("sid", "label", *fired).withColumn("weak_label", weak)

@@ -18,7 +18,13 @@ Hierarchy semantics (one derivation step more general ⇒ parent):
 """
 from __future__ import annotations
 
-from repro.grammar import ROOT
+from functools import reduce
+from operator import and_
+
+from pyspark.sql import Column
+from pyspark.sql import functions as F
+
+from repro.grammar import ROOT, any_window
 
 PREFIX = "tr"
 GAP = "*"
@@ -65,6 +71,31 @@ def matches(key: str, tokens: list[str], *, max_gap: int = 3) -> bool:
         if tokens[i] == first and tuple(tokens[i : i + m]) == pat:
             return True
     return False
+
+
+def column(key: str, *, max_gap: int = 3) -> Column:
+    """``key`` compiled to a boolean column over the ``tokens`` column,
+    true exactly where :func:`matches` is. Tokens enter as literal
+    values, never as SQL text.
+
+    Every token of the pattern must occur (``array_contains``, compiled
+    code) before the window test, a lambda Spark interprets, runs.
+    """
+    pat = pattern_of(key)
+    tokens = F.col("tokens")
+    if GAP in pat:
+        a, _, b = pat
+        # tokens[i + 2 : i + 2 + max_gap] is the 1-based slice from i + 3.
+        window = any_window(tokens, 3, lambda i: (F.get(tokens, i) == a)
+                            & F.array_contains(F.slice(tokens, i + 3, max_gap), b))
+        words = (a, b)
+    elif len(pat) > 1:
+        window = any_window(tokens, len(pat), lambda i: reduce(
+            and_, (F.get(tokens, i + j) == t for j, t in enumerate(pat))))
+        words = pat
+    else:
+        return F.array_contains(tokens, pat[0])
+    return reduce(and_, (F.array_contains(tokens, t) for t in dict.fromkeys(words))) & window
 
 
 def parents_of(key: str) -> list[str]:

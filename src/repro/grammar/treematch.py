@@ -20,7 +20,13 @@ itself is a compact sketch for this grammar.
 """
 from __future__ import annotations
 
-from repro.grammar import ROOT
+from functools import reduce
+from operator import and_
+
+from pyspark.sql import Column
+from pyspark.sql import functions as F
+
+from repro.grammar import ROOT, any_window
 from repro.text.depparse import children_of, descendants_of
 
 PREFIX = "tm"
@@ -101,6 +107,77 @@ def matches(key: str, tokens: list[str], tags: list[str], parents: list[int]) ->
                         return True
         return False
     return any(_match_term(body, i, tokens, tags) for i in range(len(tokens)))
+
+
+def column(key: str) -> Column:
+    """``key`` compiled to a boolean column over the ``tokens``, ``tags``
+    and ``parents`` columns, true exactly where :func:`matches` is.
+
+    Raises a ``ValueError`` naming the key for a form this grammar does
+    not define (a term other than ``t=``/``p=``, or more than one ``/``
+    or ``//``).
+    """
+    body = key.split(":", 1)[1]
+    conj = None
+    if "&" in body:
+        body, conj = body.split("&", 1)
+    sep = "//" if "//" in body else "/"
+    pair = [_column_term(key, t) for t in body.split(sep)]
+    if len(pair) > 2:
+        raise ValueError(f"cannot compile TreeMatch key {key!r}: more than one {sep!r}")
+    terms = pair + ([_column_term(key, conj)] if conj is not None else [])
+    # Every terminal must occur (compiled code) before a tree test, a
+    # lambda Spark interprets, runs.
+    col = reduce(and_, (_anywhere(*t) for t in dict.fromkeys(terms)))
+    if len(pair) == 2:
+        col = col & (_descendant if sep == "//" else _child)(*pair)
+    return col
+
+
+def _column_term(key: str, term: str) -> tuple[str, str]:
+    """A terminal as (the array column it tests, the value)."""
+    kind, eq, val = term.partition("=")
+    if not eq or kind not in ("t", "p"):
+        raise ValueError(f"cannot compile TreeMatch key {key!r}: term {term!r}")
+    return ("tokens" if kind == "t" else "tags"), val
+
+
+def _anywhere(array: str, val: str) -> Column:
+    return F.array_contains(F.col(array), val)
+
+
+def _at(term: tuple[str, str], i: Column) -> Column:
+    array, val = term
+    return F.get(F.col(array), i) == val
+
+
+def _child(a: tuple[str, str], b: tuple[str, str]) -> Column:
+    """Some node matching ``b`` has a parent matching ``a``."""
+    parents = F.col("parents")
+    return any_window(parents, 1, lambda c: (F.get(parents, c) >= 0)
+                      & _at(b, c) & _at(a, F.get(parents, c)))
+
+
+def _descendant(a: tuple[str, str], b: tuple[str, str]) -> Column:
+    """Some node matching ``b`` has a strict ancestor matching ``a``: an
+    ancestor walk of ``size(parents)`` steps, enough for any tree."""
+    parents = F.col("parents")
+
+    def above(d: Column) -> Column:
+        start = F.struct(F.get(parents, d).alias("node"), F.lit(False).alias("found"))
+
+        def step(acc: Column, _: Column) -> Column:
+            node = acc["node"]
+            return F.struct(
+                F.when(node >= 0, F.get(parents, node)).otherwise(-1).alias("node"),
+                (acc["found"] | ((node >= 0) & _at(a, node))).alias("found"),
+            )
+
+        walk = F.aggregate(F.sequence(F.lit(1), F.size(parents)), start, step,
+                           lambda acc: acc["found"])
+        return _at(b, d) & walk
+
+    return any_window(parents, 1, above)
 
 
 def parents_of(key: str) -> list[str]:

@@ -194,12 +194,19 @@ class HeuristicIndex:
     def overlaps_of(self, sids: np.ndarray) -> np.ndarray:
         """|C_k ∩ S| for every row k, for S given as distinct sentence
         ids: one ``bincount`` over the forward rows of those sentences."""
+        rows, _ = self.forward_rows(sids)
+        return np.bincount(rows, minlength=len(self.counts))
+
+    def forward_rows(self, sids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The forward rows of the sentences ``sids``, each sentence's
+        rows ascending, concatenated in the order of ``sids``; and how
+        many rows each sentence has."""
         sids = np.asarray(sids)
         starts = self.sentence_offsets[sids]
         lens = self.sentence_offsets[sids + 1] - starts
         # Positions of every forward row of S: each sentence's slice, concatenated.
         pos = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-        return np.bincount(self.sentence_rows[pos], minlength=len(self.counts))
+        return self.sentence_rows[pos], lens
 
     def children(self, key: str) -> list[str]:
         """Keys one derivation step stricter that exist in the corpus (O(1))."""

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.grammar import ROOT, tokensregex, treematch
-from repro.grammar.base import grammar
+from repro.grammar import tokensregex, treematch
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,3 @@ def sketch_df(corpus_df: DataFrame, cfg: SketchConfig = SketchConfig()) -> DataF
         _explode, schema="sid long, key string"
     )
 
-
-def matches_sentence(
-    key: str, tokens: list[str], tags: list[str], parents: list[int],
-    cfg: SketchConfig = SketchConfig(),
-) -> bool:
-    """Direct (index-free) evaluation of any grammar's key — rule application."""
-    if key == ROOT:
-        return True
-    return grammar(key).matches(key, tokens, tags, parents, cfg.max_gap)

@@ -85,4 +85,8 @@ def test_overlaps_of_sums_over_sentences(toy_index):
         sids = rng.permutation(10)[: rng.integers(0, 11)]
         want = [len(toy_index.coverage(k) & set(sids.tolist())) for k in toy_index.keys()]
         assert toy_index.overlaps_of(sids).tolist() == want
+        rows, lens = toy_index.forward_rows(sids)
+        per_sid = [[r for r, k in enumerate(toy_index.keys()) if s in toy_index.coverage(k)]
+                   for s in sids.tolist()]
+        assert rows.tolist() == sum(per_sid, []) and lens.tolist() == list(map(len, per_sid))
     assert toy_index.overlaps_of(np.empty(0, dtype=np.int64)).tolist() == [0] * len(toy_index)

@@ -10,7 +10,7 @@ import repro
 from repro.grammar import tokensregex as tr
 from repro.grammar import treematch as tm
 from repro.grammar.base import parents_of
-from repro.index.sketch import matches_sentence
+from tests.matching import matches_sentence
 
 
 def test_index_builds_in_fresh_interpreter():

@@ -118,3 +118,37 @@ def test_apply_rules_precision_vs_truth(spark, prep_directions):
     )
     row = out.filter("rule_0").agg(F.avg("label")).collect()[0][0]
     assert row >= 0.8
+
+
+def _tiny_corpus(spark):
+    return spark.createDataFrame(
+        [(0, 1, ["a", "b"], ["DET", "NOUN"], [1, -1]), (1, 0, [], [], [])],
+        "sid long, label int, tokens array<string>, tags array<string>, parents array<int>",
+    )
+
+
+def test_apply_rules_with_no_rules(spark):
+    out = apply_rules(_tiny_corpus(spark), [])
+    assert out.columns == ["sid", "label", "weak_label"]
+    assert [tuple(r) for r in out.orderBy("sid").collect()] == [(0, 1, False), (1, 0, False)]
+
+
+def test_apply_rules_rejects_an_unknown_prefix_on_the_driver(spark):
+    # Raised while the DataFrame is built, before any action runs.
+    with pytest.raises(ValueError, match="'xx:a'"):
+        apply_rules(_tiny_corpus(spark), ["tr:a", "xx:a"])
+
+
+def test_apply_rules_runs_no_python(spark):
+    """The rules run as compiled Spark SQL: the physical plan holds no
+    Python evaluation node, for either grammar."""
+    out = apply_rules(_tiny_corpus(spark), ["tr:a b", "tr:a * b", "tm:t=b/t=a",
+                                            "tm:t=b//p=DET&t=a", "*"])
+    plan = out._jdf.queryExecution().executedPlan().toString()
+    for node in ("MapInPandas", "ArrowEvalPython", "BatchEvalPython", "PythonUDF"):
+        assert node not in plan, plan
+    assert out.columns == ["sid", "label"] + [f"rule_{j}" for j in range(5)] + ["weak_label"]
+    assert [tuple(r) for r in out.orderBy("sid").collect()] == [
+        (0, 1, True, False, True, True, True, True),
+        (1, 0, False, False, False, False, True, True),
+    ]

@@ -23,9 +23,14 @@ BUDGET = 12
 VOCAB = ["a", "b", "c", "d", "e", "f", "g"]
 
 
-def _toy_corpus(rng: np.random.Generator):
+def _toy_sentences(rng: np.random.Generator) -> list[list[str]]:
     n = int(rng.integers(12, 40))
-    sentences = [[str(w) for w in rng.choice(VOCAB, size=rng.integers(2, 7))] for _ in range(n)]
+    return [[str(w) for w in rng.choice(VOCAB, size=rng.integers(2, 7))] for _ in range(n)]
+
+
+def _toy_corpus(rng: np.random.Generator):
+    sentences = _toy_sentences(rng)
+    n = len(sentences)
     labels = np.array([int("a" in s) for s in sentences], dtype=np.int64)
     labels[rng.random(n) < 0.1] ^= 1
     labels[int(rng.integers(n))] = 1  # at least one positive

@@ -9,8 +9,9 @@ from repro.corpora.datasets import directions
 from repro.corpora.generator import build_corpus
 from repro.grammar.base import ROOT
 from repro.index.inverted import HeuristicIndex, index_df
-from repro.index.sketch import SketchConfig, matches_sentence, sentence_sketch, sketch_df
+from repro.index.sketch import SketchConfig, sentence_sketch, sketch_df
 from repro.oracle import assert_equivalent
+from tests.matching import matches_sentence
 
 
 @pytest.fixture(scope="module")
